@@ -891,6 +891,58 @@ func BenchmarkParallelRecovery(b *testing.B) {
 			}
 		})
 	}
+	// The shape PEC with sharded checkpointing actually leaves behind:
+	// many modules of one to three chunks whose newest copies sit in
+	// different rounds, recovered through the agent at the store's default
+	// read width. One module never holds enough chunks to fan out on its
+	// own, so this case is fast only if the whole recovery is one plan.
+	b.Run("agent_pec", func(b *testing.B) {
+		const pecModules, pecRounds = 48, 8
+		backend, err := remote.New(remote.Config{LatencySeconds: 0.0005, SleepScale: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		agent, err := core.NewAgentWithOptions(storage.NewSnapshotStore(), backend, 3, cas.Options{ChunkSize: chunkSize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer agent.Close()
+		var recovered int64
+		for r := 0; r < pecRounds; r++ {
+			data := core.CheckpointData{}
+			for m := 0; m < pecModules; m++ {
+				if r == 0 || m%pecRounds == r {
+					data[fmt.Sprintf("m%02d", m)] = uniqueBlob(uint64(r*pecModules+m)+601, (1+m%3)*chunkSize)
+				}
+			}
+			if !agent.TrySnapshot(r, func() (core.CheckpointData, error) { return data, nil }, nil) {
+				b.Fatalf("round %d refused", r)
+			}
+			if err := agent.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			if r == 0 {
+				for _, blob := range data {
+					recovered += int64(len(blob)) // later rounds rewrite at the same sizes
+				}
+			}
+		}
+		base := backend.Metrics()
+		b.SetBytes(recovered)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			got, err := agent.Recover(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got) != pecModules {
+				b.Fatalf("recovered %d modules", len(got))
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(backend.Metrics().GetOps-base.GetOps)/float64(b.N), "gets/rec")
+	})
 }
 
 func BenchmarkShardedPersist(b *testing.B) {

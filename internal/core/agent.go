@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"moc/internal/storage"
@@ -339,19 +338,27 @@ type RecoveredModule struct {
 // in-memory snapshot is at least as fresh as the persisted copy, the
 // snapshot is used (two-level recovery, §5.1); otherwise the module's
 // newest persisted version no newer than the latest complete round is
-// read back from storage. Storage reads fan out across a bounded worker
-// pool sized to the store's read concurrency — each worker's chunk
-// fetches are verified inside the store — so cold recovery overlaps
-// backend latency at both module and chunk granularity.
+// read back from storage. All storage reads — each module from whichever
+// round last persisted it — form one read plan handed to the store in a
+// single ReadAcross call, which fetches and verifies every chunk of the
+// plan at the store's read width; Recover itself starts no goroutines.
 func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]RecoveredModule, error) {
 	a.mu.Lock()
 	latest := -1
 	if len(a.completeRounds) > 0 {
 		latest = a.completeRounds[len(a.completeRounds)-1]
 	}
-	modules := make(map[string][]int, len(a.persistIndex))
+	// persisted[k] is module k's newest persisted round no newer than the
+	// latest complete one, or -1.
+	persisted := make(map[string]int, len(a.persistIndex))
 	for k, rounds := range a.persistIndex {
-		modules[k] = append([]int(nil), rounds...)
+		persisted[k] = -1
+		for i := len(rounds) - 1; i >= 0; i-- {
+			if rounds[i] <= latest {
+				persisted[k] = rounds[i]
+				break
+			}
+		}
 	}
 	snapRound := make(map[string]int, len(a.snapRound))
 	for k, r := range a.snapRound {
@@ -359,20 +366,9 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 	}
 	a.mu.Unlock()
 
-	out := make(map[string]RecoveredModule, len(modules))
-	type storeRead struct {
-		module string
-		round  int
-	}
-	var reads []storeRead
-	for k, rounds := range modules {
-		persistedRound := -1
-		for i := len(rounds) - 1; i >= 0; i-- {
-			if rounds[i] <= latest {
-				persistedRound = rounds[i]
-				break
-			}
-		}
+	out := make(map[string]RecoveredModule, len(persisted))
+	var reads []cas.ModuleAt
+	for k, persistedRound := range persisted {
 		if snapshotSurvives != nil && snapshotSurvives(k) {
 			if sr, ok := snapRound[k]; ok && sr >= persistedRound {
 				blob, err := a.snap.Get(k)
@@ -385,57 +381,20 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 		if persistedRound < 0 {
 			continue // never made it to a complete checkpoint
 		}
-		reads = append(reads, storeRead{module: k, round: persistedRound})
+		reads = append(reads, cas.ModuleAt{Round: persistedRound, Module: k})
 	}
-
-	workers := a.store.ReadConcurrency()
-	if workers > len(reads) {
-		workers = len(reads)
+	if len(reads) == 0 {
+		return out, nil // served whole from the snapshot level
 	}
-	if workers <= 1 {
-		for _, r := range reads {
-			blob, err := a.store.ReadModule(r.round, r.module)
-			if err != nil {
-				return nil, fmt.Errorf("core: recover %s@%d: %w", r.module, r.round, err)
-			}
-			out[r.module] = RecoveredModule{Blob: blob, Round: r.round}
-		}
-		return out, nil
+	// Map order is random; a sorted plan issues the same requests in the
+	// same order every run, so a failure names the same chunk every run.
+	sort.Slice(reads, func(i, j int) bool { return reads[i].Module < reads[j].Module })
+	blobs, err := a.store.ReadAcross(reads)
+	if err != nil {
+		return nil, fmt.Errorf("core: recover: %w", err)
 	}
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		failed atomic.Bool
-		outMu  sync.Mutex
-	)
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reads) || failed.Load() {
-					return
-				}
-				r := reads[i]
-				blob, err := a.store.ReadModule(r.round, r.module)
-				if err != nil {
-					errs[w] = fmt.Errorf("core: recover %s@%d: %w", r.module, r.round, err)
-					failed.Store(true)
-					return
-				}
-				outMu.Lock()
-				out[r.module] = RecoveredModule{Blob: blob, Round: r.round}
-				outMu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range reads {
+		out[r.Module] = RecoveredModule{Blob: blobs[i], Round: r.Round}
 	}
 	return out, nil
 }

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"moc/internal/rng"
 	"moc/internal/storage"
+	"moc/internal/storage/cas"
+	"moc/internal/storage/storagetest"
 )
 
 func newTestAgent(t *testing.T, buffers int) (*Agent, *storage.SnapshotStore, *storage.MemStore) {
@@ -355,5 +359,81 @@ func TestAgentManyRoundsStress(t *testing.T) {
 	}
 	if got := string(rec["ne"].Blob); got == "" {
 		t.Fatal("non-expert module missing after stress run")
+	}
+}
+
+// TestAgentRecoverIsOneFlatPlanAtReadWidth: a PEC-shaped recovery — 48
+// modules of one to three chunks whose newest persisted copies spread
+// over eight rounds, a third of them served from the snapshot level — is
+// one read plan: a gate that lets chunk Gets through only in full waves
+// of the read width proves the recovery reaches that width (it would
+// never return otherwise), never exceeds it, fetches exactly the chunks
+// of the modules read from storage, and restores every module
+// bit-identically. No clock is involved.
+func TestAgentRecoverIsOneFlatPlanAtReadWidth(t *testing.T) {
+	const modules, rounds, width, chunk = 48, 8, 8, 64
+	gate := storagetest.NewGate(storage.NewMemStore(), cas.ChunkPrefix)
+	a, err := NewAgentWithOptions(storage.NewSnapshotStore(), gate, 3, cas.Options{ChunkSize: chunk, ReadWorkers: width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	name := func(i int) string { return fmt.Sprintf("expert.%02d", i) }
+	blobAt := func(i, round int) []byte {
+		b := make([]byte, 40+(i%3)*chunk) // one, two or three chunks
+		rng.New(uint64(round*modules+i) + 1).Fill(b)
+		return b
+	}
+	// Every round snapshots all modules; round 0 persists all of them,
+	// round r > 0 only the eighth with i%rounds == r (persist-PEC).
+	for r := 0; r < rounds; r++ {
+		data := CheckpointData{}
+		for i := 0; i < modules; i++ {
+			data[name(i)] = blobAt(i, r)
+		}
+		keep := func(m string) bool {
+			var i int
+			fmt.Sscanf(m, "expert.%d", &i)
+			return r == 0 || i%rounds == r
+		}
+		if !a.TrySnapshot(r, func() (CheckpointData, error) { return data, nil }, keep) {
+			t.Fatalf("round %d refused", r)
+		}
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	survives := func(m string) bool {
+		var i int
+		fmt.Sscanf(m, "expert.%d", &i)
+		return i%3 == 0
+	}
+	chunks, usedRounds := 0, map[int]bool{}
+	for i := 0; i < modules; i++ {
+		if i%3 != 0 {
+			chunks += 1 + i%3
+			usedRounds[i%rounds] = true
+		}
+	}
+	if len(usedRounds) < 6 {
+		t.Fatalf("plan spans %d rounds, want at least 6", len(usedRounds))
+	}
+	gate.Arm(width, chunks)
+	rec, err := a.Recover(survives)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gate.Gets() != chunks || gate.Peak() != width {
+		t.Fatalf("recovery issued %d chunk gets, peak %d in flight; want %d gets, peak %d", gate.Gets(), gate.Peak(), chunks, width)
+	}
+	for i := 0; i < modules; i++ {
+		got, wantRound := rec[name(i)], i%rounds
+		if survives(name(i)) {
+			wantRound = rounds - 1
+		}
+		if got.Round != wantRound || got.FromSnapshot != survives(name(i)) || !bytes.Equal(got.Blob, blobAt(i, wantRound)) {
+			t.Fatalf("%s: recovered round %d (snapshot %v), want round %d bit-identical", name(i), got.Round, got.FromSnapshot, wantRound)
+		}
 	}
 }

@@ -267,9 +267,6 @@ func TestPipelineWorkerOptionValidation(t *testing.T) {
 	if s.opts.HashWorkers < 1 || s.opts.ReadWorkers < 1 {
 		t.Fatalf("defaults not filled: %+v", s.opts)
 	}
-	if s.ReadConcurrency() != s.opts.ReadWorkers {
-		t.Fatal("ReadConcurrency accessor disagrees with options")
-	}
 }
 
 // TestDedupStatsUnchangedByPipeline: the pipelined WriteRound must

@@ -44,14 +44,15 @@ type Options struct {
 	// hides hash time behind put latency; higher values add hashing
 	// parallelism on multi-core hosts.
 	HashWorkers int
-	// ReadWorkers bounds the concurrent chunk fetches of one ReadModule
-	// or ReadRound call (default 4). Fetch workers verify chunks against
-	// their addresses as they arrive, so verification overlaps backend
-	// latency too. 1 reads sequentially. Note this is a per-call bound:
-	// a caller overlapping several reads (core.Agent.Recover fans out
-	// module reads to this same width) multiplies it, up to
-	// ReadWorkers² concurrent backend Gets — size it to the backend's
-	// connection budget accordingly.
+	// ReadWorkers bounds the backend requests one read-side call keeps in
+	// flight (default 16): the chunk Gets of a ReadModule, ReadModules,
+	// ReadRound or ReadAcross, the manifest Gets of Open, Refresh, Retain
+	// and Audit, and the size-then-delete pairs of a Retain sweep. Every
+	// such batch is one flat fan-out — a whole recovery is a single
+	// ReadAcross — so this is the peak concurrency a caller offers the
+	// backend per call; size it to the backend's connection budget. Fetch
+	// workers verify chunks against their addresses as they arrive, so
+	// verification overlaps backend latency too. 1 reads sequentially.
 	ReadWorkers int
 	// Writer distinguishes manifests from different agents sharing one
 	// backend. Defaults to an id unique across processes (sequence number
@@ -87,9 +88,9 @@ const DefaultChunkSize = 64 << 10
 // is 0.
 const DefaultWorkers = 4
 
-// DefaultReadWorkers is the recovery fetch fan-out used when
+// DefaultReadWorkers is the read-side fan-out used when
 // Options.ReadWorkers is 0.
-const DefaultReadWorkers = 4
+const DefaultReadWorkers = 16
 
 // maxDefaultHashWorkers caps the GOMAXPROCS-derived hashing fan-out:
 // past a handful of cores the pipeline is put- or memory-bound, and a
@@ -279,20 +280,12 @@ func Open(backend storage.PersistStore, opts Options) (*Store, error) {
 	if opts.Shared != nil {
 		s.present = opts.Shared.idx
 	}
-	chunkKeys, err := backend.Keys(chunkPrefix)
-	if err != nil {
-		return nil, fmt.Errorf("cas: scan chunks: %w", err)
-	}
-	for _, k := range chunkKeys {
-		h, err := ParseHash(strings.TrimPrefix(k, chunkPrefix))
-		if err != nil {
-			return nil, fmt.Errorf("cas: foreign key %q under chunk prefix", k)
-		}
-		s.present.Add(h)
-	}
-	manifests, err := loadManifests(backend)
+	manifests, chunks, err := scanBackend(backend, opts.ReadWorkers, true)
 	if err != nil {
 		return nil, err
+	}
+	for _, h := range chunks {
+		s.present.Add(h)
 	}
 	for _, m := range manifests {
 		if s.scopedOut(m) {
@@ -320,7 +313,7 @@ func (s *Store) scopedOut(m *Manifest) bool {
 // index skip the chunk rescan: the GC's sweep already removed swept
 // chunks from the index they share.
 func (s *Store) Refresh() error {
-	manifests, err := loadManifests(s.backend)
+	manifests, chunks, err := scanBackend(s.backend, s.opts.ReadWorkers, s.opts.Shared == nil)
 	if err != nil {
 		return err
 	}
@@ -333,16 +326,8 @@ func (s *Store) Refresh() error {
 	}
 	var fresh *presenceIndex
 	if s.opts.Shared == nil {
-		chunkKeys, err := s.backend.Keys(chunkPrefix)
-		if err != nil {
-			return fmt.Errorf("cas: scan chunks: %w", err)
-		}
 		fresh = newPresenceIndex()
-		for _, k := range chunkKeys {
-			h, err := ParseHash(strings.TrimPrefix(k, chunkPrefix))
-			if err != nil {
-				return fmt.Errorf("cas: foreign key %q under chunk prefix", k)
-			}
+		for _, h := range chunks {
 			fresh.Add(h)
 		}
 	}
@@ -355,33 +340,144 @@ func (s *Store) Refresh() error {
 	return nil
 }
 
+// scanBackend loads every manifest and, when withChunks is set, lists the
+// stored chunk set — the two scans a cold open pays. They are independent,
+// so the chunk listing runs beside the manifest listing and loads: an
+// open costs about three backend round trips, however many manifests
+// there are up to width.
+func scanBackend(backend storage.PersistStore, width int, withChunks bool) ([]*Manifest, []Hash, error) {
+	if !withChunks {
+		manifests, err := loadManifests(backend, width)
+		return manifests, nil, err
+	}
+	var chunks []Hash
+	var chunkErr error
+	listed := make(chan struct{})
+	go func() {
+		defer close(listed)
+		chunks, chunkErr = listChunks(backend)
+	}()
+	manifests, err := loadManifests(backend, width)
+	<-listed
+	if chunkErr != nil {
+		return nil, nil, chunkErr
+	}
+	return manifests, chunks, err
+}
+
+// listChunks returns the address of every chunk the backend holds.
+func listChunks(backend storage.PersistStore) ([]Hash, error) {
+	keys, err := backend.Keys(chunkPrefix)
+	if err != nil {
+		return nil, fmt.Errorf("cas: scan chunks: %w", err)
+	}
+	out := make([]Hash, len(keys))
+	for i, k := range keys {
+		if out[i], err = ParseHash(strings.TrimPrefix(k, chunkPrefix)); err != nil {
+			return nil, fmt.Errorf("cas: foreign key %q under chunk prefix", k)
+		}
+	}
+	return out, nil
+}
+
 // loadManifests reads and decodes every manifest in the backend, sorted
-// by (round, writer).
-func loadManifests(backend storage.PersistStore) ([]*Manifest, error) {
+// by (round, writer), fetching up to width of them at a time. Any
+// unreadable, corrupt or misfiled manifest fails the load; of several,
+// the lowest key's error is reported.
+func loadManifests(backend storage.PersistStore, width int) ([]*Manifest, error) {
 	keys, err := backend.Keys(manifestPrefix)
 	if err != nil {
 		return nil, fmt.Errorf("cas: scan manifests: %w", err)
 	}
-	var out []*Manifest
-	for _, k := range keys {
+	out := make([]*Manifest, len(keys))
+	err = fanOut(nil, "manifest", len(keys), width, func(i int) error {
+		k := keys[i]
 		round, writer, ok := parseManifestKey(k)
 		if !ok {
-			return nil, fmt.Errorf("cas: foreign key %q under manifest prefix", k)
+			return fmt.Errorf("cas: foreign key %q under manifest prefix", k)
 		}
 		blob, err := backend.Get(k)
 		if err != nil {
-			return nil, fmt.Errorf("cas: read manifest %s: %w", k, err)
+			return fmt.Errorf("cas: read manifest %s: %w", k, err)
 		}
 		m, err := DecodeManifest(blob)
 		if err != nil {
-			return nil, fmt.Errorf("cas: manifest %s: %w", k, err)
+			return fmt.Errorf("cas: manifest %s: %w", k, err)
 		}
 		if m.Round != round || m.Writer != writer {
-			return nil, fmt.Errorf("cas: manifest %s claims round %d writer %q", k, m.Round, m.Writer)
+			return fmt.Errorf("cas: manifest %s claims round %d writer %q", k, m.Round, m.Writer)
 		}
-		out = append(out, m)
+		out[i] = m
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// minParallelTasks is the batch size below which fanOut stays on the
+// calling goroutine — spawning workers for a few memory-speed requests
+// costs more than it overlaps.
+const minParallelTasks = 8
+
+// fanOut runs fn(0) … fn(n-1) with at most width calls in flight and
+// returns when all started calls have. It is the one bounded worker loop
+// of the read side: chunk fetches, manifest loads and the GC sweep all go
+// through it. After a failure no further index is handed out; indices
+// are handed out in order and a claimed index always runs, so of several
+// failing calls the lowest index's error is the one reported, whatever
+// the scheduling. Under a tracing span each worker records a child span
+// named stage on its own lane.
+func fanOut(sp *obs.Span, stage string, n, width int, fn func(i int) error) error {
+	if width > n {
+		width = n
+	}
+	if width <= 1 || n < minParallelTasks {
+		wsp := sp.Child(stage)
+		defer wsp.End()
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		errIdx   = n
+		firstErr error
+	)
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wsp := sp.Child(stage)
+			if wsp != nil {
+				wsp.Lane(stage + "-w" + strconv.Itoa(w))
+			}
+			defer wsp.End()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := fn(i); err != nil {
+					failed.Store(true)
+					errMu.Lock()
+					if i < errIdx {
+						errIdx, firstErr = i, err
+					}
+					errMu.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // Writer returns the id stamped on manifests this store writes.
@@ -389,11 +485,6 @@ func (s *Store) Writer() string { return s.opts.Writer }
 
 // Chunking returns the chunker this store writes new rounds with.
 func (s *Store) Chunking() Chunking { return s.opts.Chunking }
-
-// ReadConcurrency returns the configured recovery fetch fan-out —
-// callers layering their own recovery parallelism (the checkpoint
-// agent) size against it.
-func (s *Store) ReadConcurrency() int { return s.opts.ReadWorkers }
 
 // Rounds returns the committed rounds this store knows of, ascending.
 func (s *Store) Rounds() []int {
@@ -761,229 +852,213 @@ func (s *Store) memoLookup(name string, blob []byte) ([]ChunkRef, bool) {
 // ErrModuleNotFound reports a module absent from a round's manifests.
 var ErrModuleNotFound = errors.New("cas: module not persisted in round")
 
-// minParallelFetchTasks is the chunk count below which a recovery read
-// stays sequential — spawning fetch workers for a few memory-speed
-// chunks costs more than it overlaps.
-const minParallelFetchTasks = 8
-
-// fetchTask locates one chunk of a recovery read: which module it
-// belongs to, its index and byte offset there, and the output buffer it
-// reassembles into.
-type fetchTask struct {
-	module string
-	idx    int
-	off    int64
-	ref    ChunkRef
-	out    []byte
+// ModuleAt names one module as committed in one round — the unit of a
+// read plan.
+type ModuleAt struct {
+	Round  int
+	Module string
 }
 
-// ReadModule reassembles one module's payload from a round, verifying
-// every chunk against its address and the total against the manifest.
-// Chunk fetches fan out across Options.ReadWorkers, with verification
-// running on the fetch workers so it overlaps backend latency.
-func (s *Store) ReadModule(round int, module string) ([]byte, error) {
-	sp := obs.Start("cas", "ReadModule").AttrInt("round", int64(round)).Attr("module", module)
-	defer func() {
+// planned is a ModuleAt resolved to its manifest entry.
+type planned struct {
+	round int
+	entry *ModuleEntry
+}
+
+// fetchTask locates one chunk of a read plan: the planned module it
+// belongs to (and that module's position in the plan), and the chunk's
+// index and byte offset there.
+type fetchTask struct {
+	planned
+	pi  int
+	idx int
+	off int64
+}
+
+// startRead opens the tracing span of one public read call; the returned
+// func ends it and feeds the restore-latency histogram.
+func startRead(op string) (*obs.Span, func()) {
+	sp := obs.Start("cas", op)
+	return sp, func() {
 		if d := sp.End(); d > 0 {
 			obsRestoreRead.Observe(obs.Seconds(d))
 		}
-	}()
+	}
+}
+
+// readAt resolves each read to its manifest entry — when several writers
+// persisted one name in a round, writer order decides (the last wins) —
+// and fetches them as one plan; the i-th result is reads[i]'s payload.
+func (s *Store) readAt(sp *obs.Span, reads []ModuleAt) ([][]byte, error) {
+	plan := make([]planned, len(reads))
 	s.mu.Lock()
-	var entry *ModuleEntry
-	for _, m := range s.manifests[round] {
-		if e := m.Lookup(module); e != nil {
-			entry = e
+	for i, r := range reads {
+		var entry *ModuleEntry
+		for _, m := range s.manifests[r.Round] {
+			if e := m.Lookup(r.Module); e != nil {
+				entry = e
+			}
 		}
+		if entry == nil {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("%w: %s@%06d", ErrModuleNotFound, r.Module, r.Round)
+		}
+		plan[i] = planned{round: r.Round, entry: entry}
 	}
 	s.mu.Unlock()
-	if entry == nil {
-		return nil, fmt.Errorf("%w: %s@%06d", ErrModuleNotFound, module, round)
-	}
-	out, err := s.entryTasks(sp, round, []*ModuleEntry{entry})
+	return s.fetchPlan(sp, plan)
+}
+
+// ReadAcross reassembles modules taken from different rounds — the shape
+// of a PEC recovery, where each module's newest copy sits in whichever
+// round last persisted it — as one read plan: every chunk of every named
+// module joins a single task list fetched at Options.ReadWorkers width,
+// so the read costs chunks ÷ width round trips however the chunks spread
+// over modules and rounds. The i-th result is reads[i]'s payload; a name
+// absent from its round fails with ErrModuleNotFound. Every chunk is
+// verified against its address and every total against the manifest.
+func (s *Store) ReadAcross(reads []ModuleAt) ([][]byte, error) {
+	sp, done := startRead("ReadAcross")
+	defer done()
+	sp.AttrInt("modules", int64(len(reads)))
+	return s.readAt(sp, reads)
+}
+
+// ReadModule reassembles one module's payload from a round: a read plan
+// of one.
+func (s *Store) ReadModule(round int, module string) ([]byte, error) {
+	sp, done := startRead("ReadModule")
+	defer done()
+	sp.AttrInt("round", int64(round)).Attr("module", module)
+	bufs, err := s.readAt(sp, []ModuleAt{{round, module}})
 	if err != nil {
 		return nil, err
 	}
-	return out[module], nil
+	return bufs[0], nil
 }
 
-// ReadModules reassembles only the named modules from a round, sharing
-// one bounded ReadWorkers fan-out across all of them — the partial
-// restore of the PEC read path: the requested experts' chunks are
-// fetched, nothing else. Writer precedence matches ReadModule (when
-// several writers persisted one name, writer order decides). A
-// requested module absent from the round fails with ErrModuleNotFound;
-// duplicate names are read once.
+// ReadModules reassembles only the named modules from a round — the
+// partial restore of the PEC read path: the requested experts' chunks
+// are fetched, nothing else. It is a read plan within one round: writer
+// precedence matches ReadModule, a requested module absent from the
+// round fails with ErrModuleNotFound, duplicate names are read once.
 func (s *Store) ReadModules(round int, modules []string) (map[string][]byte, error) {
-	sp := obs.Start("cas", "ReadModules").AttrInt("round", int64(round)).AttrInt("modules", int64(len(modules)))
-	defer func() {
-		if d := sp.End(); d > 0 {
-			obsRestoreRead.Observe(obs.Seconds(d))
-		}
-	}()
-	want := make(map[string]bool, len(modules))
+	sp, done := startRead("ReadModules")
+	defer done()
+	sp.AttrInt("round", int64(round)).AttrInt("modules", int64(len(modules)))
+	seen := make(map[string]bool, len(modules))
+	reads := make([]ModuleAt, 0, len(modules))
 	for _, m := range modules {
-		want[m] = true
-	}
-	s.mu.Lock()
-	entryOf := make(map[string]*ModuleEntry, len(want))
-	order := make([]string, 0, len(want))
-	for _, m := range s.manifests[round] {
-		for i := range m.Modules {
-			e := &m.Modules[i]
-			if !want[e.Module] {
-				continue
-			}
-			if _, seen := entryOf[e.Module]; !seen {
-				order = append(order, e.Module)
-			}
-			entryOf[e.Module] = e
+		if !seen[m] {
+			seen[m] = true
+			reads = append(reads, ModuleAt{round, m})
 		}
 	}
-	s.mu.Unlock()
-	for _, m := range modules {
-		if entryOf[m] == nil {
-			return nil, fmt.Errorf("%w: %s@%06d", ErrModuleNotFound, m, round)
-		}
+	bufs, err := s.readAt(sp, reads)
+	if err != nil {
+		return nil, err
 	}
-	entries := make([]*ModuleEntry, 0, len(order))
-	for _, name := range order {
-		entries = append(entries, entryOf[name])
+	out := make(map[string][]byte, len(reads))
+	for i, r := range reads {
+		out[r.Module] = bufs[i]
 	}
-	return s.entryTasks(sp, round, entries)
+	return out, nil
 }
 
 // ReadRound reassembles every module committed for a round, across all
 // writers (when several writers persisted the same module, writer order
-// decides, matching ReadModule). All modules' chunk fetches share one
-// bounded ReadWorkers fan-out, so recovery of many small modules
-// parallelizes as well as recovery of one large one.
+// decides, matching ReadModule) — the read plan of the whole round.
 func (s *Store) ReadRound(round int) (map[string][]byte, error) {
-	sp := obs.Start("cas", "ReadRound").AttrInt("round", int64(round))
-	defer func() {
-		if d := sp.End(); d > 0 {
-			obsRestoreRead.Observe(obs.Seconds(d))
-		}
-	}()
+	sp, done := startRead("ReadRound")
+	defer done()
+	sp.AttrInt("round", int64(round))
 	s.mu.Lock()
-	entryOf := make(map[string]*ModuleEntry)
-	order := make([]string, 0, 8)
+	manifests := len(s.manifests[round])
+	at := make(map[string]int)
+	var plan []planned
 	for _, m := range s.manifests[round] {
 		for i := range m.Modules {
 			e := &m.Modules[i]
-			if _, seen := entryOf[e.Module]; !seen {
-				order = append(order, e.Module)
+			if j, seen := at[e.Module]; seen {
+				plan[j].entry = e
+				continue
 			}
-			entryOf[e.Module] = e
+			at[e.Module] = len(plan)
+			plan = append(plan, planned{round: round, entry: e})
 		}
 	}
 	s.mu.Unlock()
-	if len(entryOf) == 0 {
-		if len(s.ManifestsForRound(round)) == 0 {
-			return nil, fmt.Errorf("cas: no manifests for round %06d", round)
-		}
-		return map[string][]byte{}, nil
+	if manifests == 0 {
+		return nil, fmt.Errorf("cas: no manifests for round %06d", round)
 	}
-	entries := make([]*ModuleEntry, 0, len(entryOf))
-	for _, name := range order {
-		entries = append(entries, entryOf[name])
+	bufs, err := s.fetchPlan(sp, plan)
+	if err != nil {
+		return nil, err
 	}
-	return s.entryTasks(sp, round, entries)
+	out := make(map[string][]byte, len(plan))
+	for name, i := range at {
+		out[name] = bufs[i]
+	}
+	return out, nil
 }
 
-// entryTasks fetches, verifies, and reassembles the given module
-// entries, fanning chunk gets across the read worker pool. Backends
-// implementing storage.Viewer serve chunk bytes without a defensive
-// copy — verification only reads them, and the single write into the
-// output buffer is the reassembly copy itself.
-func (s *Store) entryTasks(sp *obs.Span, round int, entries []*ModuleEntry) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(entries))
+// fetchPlan fetches, verifies, and reassembles the planned entries — the
+// task builder behind every read call — fanning all their chunk gets
+// across one ReadWorkers-wide pool. Backends implementing storage.Viewer
+// serve chunk bytes without a defensive copy — verification only reads
+// them, and the single write into the output buffer is the reassembly
+// copy itself.
+func (s *Store) fetchPlan(sp *obs.Span, plan []planned) ([][]byte, error) {
+	// A module's output buffer is allocated by the first worker to land
+	// one of its chunks, not here: zeroing every buffer up front is a
+	// serial pass whose memory has left the cache by the time it is
+	// filled — a quarter of a memory-speed recovery.
+	out := make([][]byte, len(plan))
+	allocs := make([]sync.Once, len(plan))
 	var tasks []fetchTask
-	for _, e := range entries {
-		buf := make([]byte, e.Size)
-		out[e.Module] = buf
+	for pi, p := range plan {
+		if len(p.entry.Chunks) == 0 {
+			out[pi] = []byte{}
+		}
 		var off int64
-		for i, c := range e.Chunks {
-			tasks = append(tasks, fetchTask{module: e.Module, idx: i, off: off, ref: c, out: buf})
+		for i, c := range p.entry.Chunks {
+			tasks = append(tasks, fetchTask{planned: p, idx: i, off: off, pi: pi})
 			off += int64(c.Size)
 		}
-		if off != e.Size {
-			return nil, fmt.Errorf("cas: %s@%06d: chunks cover %d of %d bytes", e.Module, round, off, e.Size)
+		if off != p.entry.Size {
+			return nil, fmt.Errorf("cas: %s@%06d: chunks cover %d of %d bytes", p.entry.Module, p.round, off, p.entry.Size)
 		}
 	}
 
 	viewer, _ := s.backend.(storage.Viewer)
-	fetch := func(t fetchTask) error {
+	sp.AttrInt("chunks", int64(len(tasks)))
+	err := fanOut(sp, "fetch", len(tasks), s.opts.ReadWorkers, func(i int) error {
+		t := &tasks[i]
+		ref := t.entry.Chunks[t.idx]
 		var data []byte
 		var err error
 		if viewer != nil {
-			data, err = viewer.GetView(ChunkKey(t.ref.Hash))
+			data, err = viewer.GetView(ChunkKey(ref.Hash))
 		} else {
-			data, err = s.backend.Get(ChunkKey(t.ref.Hash))
+			data, err = s.backend.Get(ChunkKey(ref.Hash))
 		}
 		if err != nil {
-			return fmt.Errorf("cas: %s@%06d chunk %d: %w", t.module, round, t.idx, err)
+			return fmt.Errorf("cas: %s@%06d chunk %d: %w", t.entry.Module, t.round, t.idx, err)
 		}
-		if got := HashBytes(data); got != t.ref.Hash {
+		if got := HashBytes(data); got != ref.Hash {
 			return fmt.Errorf("cas: %s@%06d chunk %d: content hash %s does not match address %s",
-				t.module, round, t.idx, got, t.ref.Hash)
+				t.entry.Module, t.round, t.idx, got, ref.Hash)
 		}
-		if uint32(len(data)) != t.ref.Size {
+		if uint32(len(data)) != ref.Size {
 			return fmt.Errorf("cas: %s@%06d chunk %d: %d bytes, manifest says %d",
-				t.module, round, t.idx, len(data), t.ref.Size)
+				t.entry.Module, t.round, t.idx, len(data), ref.Size)
 		}
-		copy(t.out[t.off:], data)
+		allocs[t.pi].Do(func() { out[t.pi] = make([]byte, t.entry.Size) })
+		copy(out[t.pi][t.off:], data)
 		return nil
-	}
-
-	workers := s.opts.ReadWorkers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	// Tiny reads go sequential: below a handful of chunks the worker
-	// spawn costs more than the overlap buys, and callers that recover
-	// many small modules (the agent) already parallelize above us.
-	sp.AttrInt("chunks", int64(len(tasks)))
-	if workers <= 1 || len(tasks) < minParallelFetchTasks {
-		fsp := sp.Child("fetch")
-		defer fsp.End()
-		for _, t := range tasks {
-			if err := fetch(t); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := sp.Child("fetch")
-			if wsp != nil {
-				wsp.Lane("fetch-w" + strconv.Itoa(w))
-			}
-			defer wsp.End()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) || failed.Load() {
-					return
-				}
-				if err := fetch(tasks[i]); err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -1080,7 +1155,7 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 		defer g.Unlock()
 	}
 	var st GCStats
-	manifests, err := loadManifests(s.backend)
+	manifests, err := loadManifests(s.backend, s.opts.ReadWorkers)
 	if err != nil {
 		return st, err
 	}
@@ -1135,9 +1210,9 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 			}
 		}
 	}
-	chunkKeys, err := s.backend.Keys(chunkPrefix)
+	chunks, err := listChunks(s.backend)
 	if err != nil {
-		return st, fmt.Errorf("cas: scan chunks: %w", err)
+		return st, err
 	}
 	// A private presence index is rebuilt from the post-GC state; a
 	// shared one is shrunk in place by the per-chunk Removes below —
@@ -1146,20 +1221,24 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 	if s.opts.Shared == nil {
 		present = newPresenceIndex()
 	}
-	for _, k := range chunkKeys {
-		h, err := ParseHash(strings.TrimPrefix(k, chunkPrefix))
-		if err != nil {
-			return st, fmt.Errorf("cas: foreign key %q under chunk prefix", k)
+	var sweep []Hash
+	for _, h := range chunks {
+		switch {
+		case refs[h] == 0:
+			sweep = append(sweep, h)
+		case present != nil:
+			present.Add(h)
 		}
-		if refs[h] > 0 {
-			if present != nil {
-				present.Add(h)
-			}
-			continue
-		}
-		blob, err := s.backend.Get(k)
-		if err == nil {
-			st.BytesFreed += int64(len(blob))
+	}
+	// The sweep: each unreferenced chunk costs a sizing Get and a Delete,
+	// independent of every other chunk's, so they overlap up to the read
+	// width. A failure stops the sweep with the totals of what was removed.
+	var deleted, freed atomic.Int64
+	err = fanOut(nil, "sweep", len(sweep), s.opts.ReadWorkers, func(i int) error {
+		h := sweep[i]
+		var size int64
+		if blob, err := s.backend.Get(ChunkKey(h)); err == nil {
+			size = int64(len(blob))
 		}
 		// Drop the chunk from the dedup index BEFORE deleting it from the
 		// backend: if this Retain errors out mid-sweep, an overclaiming
@@ -1170,10 +1249,16 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 		// such step: its refs are revalidated against the presence index
 		// at every use.
 		s.present.Remove(h)
-		if err := s.backend.Delete(k); err != nil {
-			return st, fmt.Errorf("cas: sweep chunk %s: %w", h, err)
+		if err := s.backend.Delete(ChunkKey(h)); err != nil {
+			return fmt.Errorf("cas: sweep chunk %s: %w", h, err)
 		}
-		st.ChunksDeleted++
+		deleted.Add(1)
+		freed.Add(size)
+		return nil
+	})
+	st.ChunksDeleted, st.BytesFreed = int(deleted.Load()), freed.Load()
+	if err != nil {
+		return st, err
 	}
 
 	if present != nil {
@@ -1208,7 +1293,7 @@ type AuditReport struct {
 // Missing list means committed state is unrecoverable.
 func (s *Store) Audit() (AuditReport, error) {
 	var rep AuditReport
-	manifests, err := loadManifests(s.backend)
+	manifests, err := loadManifests(s.backend, s.opts.ReadWorkers)
 	if err != nil {
 		return rep, err
 	}
@@ -1227,16 +1312,12 @@ func (s *Store) Audit() (AuditReport, error) {
 	}
 	rep.Rounds = len(rounds)
 	rep.ChunksReferenced = len(refs)
-	chunkKeys, err := s.backend.Keys(chunkPrefix)
+	chunks, err := listChunks(s.backend)
 	if err != nil {
-		return rep, fmt.Errorf("cas: scan chunks: %w", err)
+		return rep, err
 	}
-	stored := make(map[Hash]bool, len(chunkKeys))
-	for _, k := range chunkKeys {
-		h, err := ParseHash(strings.TrimPrefix(k, chunkPrefix))
-		if err != nil {
-			return rep, fmt.Errorf("cas: foreign key %q under chunk prefix", k)
-		}
+	stored := make(map[Hash]bool, len(chunks))
+	for _, h := range chunks {
 		stored[h] = true
 		if refs[h] == 0 {
 			rep.Orphans = append(rep.Orphans, h)
@@ -1262,7 +1343,7 @@ func sortHashes(hs []Hash) {
 // themselves — the codec is deterministic, so re-encoding yields the
 // stored manifest length — and only orphan chunks cost a payload read.
 func (s *Store) PhysicalBytes() (int64, error) {
-	manifests, err := loadManifests(s.backend)
+	manifests, err := loadManifests(s.backend, s.opts.ReadWorkers)
 	if err != nil {
 		return 0, err
 	}
@@ -1276,20 +1357,16 @@ func (s *Store) PhysicalBytes() (int64, error) {
 			}
 		}
 	}
-	chunkKeys, err := s.backend.Keys(chunkPrefix)
+	chunks, err := listChunks(s.backend)
 	if err != nil {
 		return 0, err
 	}
-	for _, k := range chunkKeys {
-		h, err := ParseHash(strings.TrimPrefix(k, chunkPrefix))
-		if err != nil {
-			return 0, fmt.Errorf("cas: foreign key %q under chunk prefix", k)
-		}
+	for _, h := range chunks {
 		if n, ok := sizes[h]; ok {
 			total += n
 			continue
 		}
-		b, err := s.backend.Get(k) // orphan: size unknown without reading
+		b, err := s.backend.Get(ChunkKey(h)) // orphan: size unknown without reading
 		if err != nil {
 			return 0, err
 		}

@@ -201,6 +201,71 @@ func TestFSStore(t *testing.T) {
 	}
 }
 
+// TestFSStoreKeysBesideConcurrentPutDelete: regression for a tier-1
+// flake. Walk lstat-s entries after reading their directory, so a Put's
+// temp file renamed away (or a key deleted) mid-walk used to fail the
+// whole listing with "lstat ….tmp: no such file or directory". A listing
+// beside writers must succeed, always hold the untouched keys, and never
+// show a temp file.
+func TestFSStoreKeysBesideConcurrentPutDelete(t *testing.T) {
+	f, err := NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable := []string{"dir/stable0", "dir/stable1", "dir/stable2"}
+	for _, k := range stable {
+		if err := f.Put(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			blob := make([]byte, 512)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := fmt.Sprintf("dir/churn%d-%d", w, i%16)
+				if err := f.Put(k, blob); err != nil {
+					t.Errorf("put %s: %v", k, err)
+					return
+				}
+				if err := f.Delete(k); err != nil {
+					t.Errorf("delete %s: %v", k, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 400; i++ {
+		keys, err := f.Keys("dir/")
+		if err != nil {
+			t.Errorf("listing %d beside writers: %v", i, err)
+			break
+		}
+		have := make(map[string]bool, len(keys))
+		for _, k := range keys {
+			if strings.HasSuffix(k, ".tmp") {
+				t.Errorf("listing %d shows temp file %s", i, k)
+			}
+			have[k] = true
+		}
+		for _, k := range stable {
+			if !have[k] {
+				t.Errorf("listing %d lost stable key %s", i, k)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestFSStorePutConcurrentSameKey(t *testing.T) {
 	// Regression: Put used a shared "<path>.tmp" temp file, so two
 	// concurrent writers to the same key could rename a torn or foreign

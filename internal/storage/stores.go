@@ -380,11 +380,18 @@ func (f *FSStore) Delete(key string) error {
 	return err
 }
 
-// Keys implements PersistStore.
+// Keys implements PersistStore. It may run beside Puts and Deletes:
+// Walk lstat-s each entry after reading its directory, so a Put's
+// temporary file renamed away (or a key deleted) in between reaches the
+// callback as a not-exist error — such entries are simply not keys (a
+// missing root is still an error).
 func (f *FSStore) Keys(prefix string) ([]string, error) {
 	var out []string
 	err := filepath.Walk(f.root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || strings.HasSuffix(path, ".tmp") {
+		if strings.HasSuffix(path, ".tmp") || (os.IsNotExist(err) && path != f.root) {
+			return nil
+		}
+		if err != nil || info.IsDir() {
 			return err
 		}
 		rel, err := filepath.Rel(f.root, path)

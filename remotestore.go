@@ -250,8 +250,9 @@ type StoreTuning struct {
 	ChunkSize int
 	Chunking  Chunking
 	// Workers is the striped put fan-out, HashWorkers the hashing
-	// fan-out of the persist pipeline, ReadWorkers the recovery fetch
-	// fan-out.
+	// fan-out of the persist pipeline, ReadWorkers the backend requests
+	// one read-side call (a recovery, an open, a GC sweep) keeps in
+	// flight.
 	Workers     int
 	HashWorkers int
 	ReadWorkers int

@@ -236,10 +236,11 @@ type Config struct {
 	// (0 = GOMAXPROCS, capped at 8). Hashing, dedup filtering, and
 	// backend puts run as overlapped stages.
 	HashWorkers int
-	// RecoverWorkers bounds the concurrent chunk fetches of one
-	// recovery read (0 = the store default, 4). Recovery overlaps
-	// module reads to the same width, so peak backend concurrency
-	// during a full recovery approaches RecoverWorkers².
+	// RecoverWorkers bounds the backend requests a recovery keeps in
+	// flight (0 = the store default, 16). A whole recovery is one flat
+	// read plan, and reopening the store loads its manifests at the
+	// same width, so this is the peak concurrency offered to the
+	// persist backend on the read side.
 	RecoverWorkers int
 
 	// --- observability ---
