@@ -18,6 +18,21 @@
 //     cost models and a discrete-event pipeline simulator, reproducing the
 //     paper's efficiency results (Figures 10–13).
 //
+// Checkpoint timeline. CheckpointNow (and Step's interval trigger) costs
+// an expert selection and a hand-off: the capture runs on the agent's
+// snapshot goroutine, encoding each module in one pass from the
+// parameters into a pooled buffer, beside the next Step's forward and
+// backward passes, which only read the weights. Training waits in one
+// place, the snapshot barrier just before the weight update inside Step
+// (also taken by the next CheckpointNow, FlushCheckpoints, InjectFault,
+// CompactStorage, VerifyStorage and Close); Stats().SnapshotWaitSeconds
+// is the time spent there, and a capture error surfaces there, leaving
+// round numbering and the PLT ledger as if the round had not been
+// triggered. A captured buffer belongs to the capture until it returns,
+// then to the agent, which adopts it into the snapshot store and shares
+// it read-only with the round's persist job; it returns to the pool once
+// a newer round has replaced it and every write that may read it is done.
+//
 // Beyond the paper, the storage stack scales the checkpoint store to
 // production shapes: content-addressed dedup with fixed or
 // content-defined chunking, an LRU chunk cache, N-way replication with

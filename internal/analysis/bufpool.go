@@ -18,6 +18,10 @@ import (
 //     release/handoff — the drop-on-error leak;
 //  3. any use of a buffer after PutBuf returned it to the pool, where
 //     a later GetBuf may hand the same memory to an unrelated caller.
+//
+// The replaced buffer an Adopt(key, buf) method returns (the snapshot
+// store's zero-copy hand-off) is the caller's from then on, so it is
+// tracked exactly like a buffer fresh from GetBuf.
 var BufPoolAnalyzer = &Analyzer{
 	Name: "bufpool",
 	Doc: "flags storage.GetBuf/CopyBuf buffers that are never PutBuf-recycled or handed " +
@@ -86,7 +90,7 @@ func checkBufBody(pass *Pass, fb funcBody, matches func(types.Object, string) bo
 				return true
 			}
 			obj := calleeObject(info, call)
-			if !matches(obj, "GetBuf") && !matches(obj, "CopyBuf") {
+			if !matches(obj, "GetBuf") && !matches(obj, "CopyBuf") && !isAdoptMethod(obj) {
 				return true
 			}
 			id, ok := stmt.Lhs[0].(*ast.Ident)
@@ -266,7 +270,7 @@ func checkBufBody(pass *Pass, fb funcBody, matches func(types.Object, string) bo
 		name := t.obj.Name()
 		if t.minted && firstOut == token.NoPos {
 			pass.Reportf(t.defPos,
-				"pooled buffer %s from storage.GetBuf is never PutBuf-recycled or handed off — "+
+				"pooled buffer %s is never PutBuf-recycled or handed off — "+
 					"the pool degrades to plain allocation; release it (defer storage.PutBuf(%s)) or pass it to its owner",
 				name, name)
 			continue
@@ -297,6 +301,28 @@ func checkBufBody(pass *Pass, fb funcBody, matches func(types.Object, string) bo
 			}
 		}
 	}
+}
+
+// isAdoptMethod reports whether obj is an ownership hand-off method:
+// Adopt(key string, buf []byte) []byte, which keeps buf without copying
+// it and returns the buffer it replaced to the caller.
+func isAdoptMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Name() != "Adopt" {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	return sig.Recv() != nil && sig.Params().Len() == 2 && sig.Results().Len() == 1 &&
+		isByteSlice(sig.Params().At(1).Type()) && isByteSlice(sig.Results().At(0).Type())
+}
+
+func isByteSlice(t types.Type) bool {
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
 }
 
 // reboundBetween reports whether the variable was reassigned strictly

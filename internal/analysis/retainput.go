@@ -25,6 +25,11 @@ import (
 //     later backend swap (to one that consumes buffers asynchronously)
 //     turns the blur into corruption. Recycling via storage.PutBuf is
 //     the blessed hand-back; anything else needs //moc:allow.
+//
+// Adopt(key, buf) is the named reverse of contract 1: the store keeps
+// buf itself, zero-copy, so an Adopt implementation may retain its
+// input — and its callers are held to contract 2 without the PutBuf
+// exception, since the buffer now lives in the store.
 var RetainPutAnalyzer = &Analyzer{
 	Name: "retainput",
 	Doc: "flags Put implementations that retain their input slice without a copy, and " +
@@ -163,13 +168,14 @@ func checkPutRetention(pass *Pass, fb funcBody) {
 }
 
 // checkPutOwnedCallers flags functions that keep using a plain
-// variable after passing it to PutOwned. A handoff inside a return
+// variable after passing it to PutOwned or Adopt. A handoff inside a return
 // statement is the transfer-and-exit idiom (no reuse is reachable) and
 // is not tracked; PutNoRetain is deliberately exempt — its contract is
 // the reverse (the caller keeps ownership). Recycling the buffer with
-// storage.PutBuf afterwards is allowed — pool hand-back is the
-// documented final step of the ownership dance — as is rebinding the
-// variable.
+// storage.PutBuf afterwards is allowed after PutOwned — pool hand-back
+// is the documented final step of that ownership dance — but not after
+// Adopt, whose store still holds the buffer; rebinding the variable
+// ends either hand-off.
 func checkPutOwnedCallers(pass *Pass) {
 	info := pass.Info
 	for _, fb := range functionBodies(pass.Files) {
@@ -194,6 +200,7 @@ func checkPutOwnedCallers(pass *Pass) {
 		type handoff struct {
 			obj types.Object
 			pos token.Pos
+			to  string // "PutOwned" or "Adopt"
 		}
 		var handoffs []handoff
 		walkBody(fb.body, func(n ast.Node) bool {
@@ -202,12 +209,12 @@ func checkPutOwnedCallers(pass *Pass) {
 				return true
 			}
 			obj := calleeObject(info, call)
-			if obj == nil || obj.Name() != "PutOwned" || len(call.Args) != 2 || inReturn(call.Pos()) {
+			if obj == nil || obj.Name() != "PutOwned" && !isAdoptMethod(obj) || len(call.Args) != 2 || inReturn(call.Pos()) {
 				return true
 			}
 			if id, ok := ast.Unparen(call.Args[1]).(*ast.Ident); ok {
 				if vobj := info.Uses[id]; vobj != nil {
-					handoffs = append(handoffs, handoff{obj: vobj, pos: call.End()})
+					handoffs = append(handoffs, handoff{obj: vobj, pos: call.End(), to: obj.Name()})
 				}
 			}
 			return true
@@ -246,13 +253,13 @@ func checkPutOwnedCallers(pass *Pass) {
 				if h.obj != vobj || id.Pos() <= h.pos {
 					continue
 				}
-				if insidePutBuf(pass, id) {
+				if h.to == "PutOwned" && insidePutBuf(pass, id) {
 					continue
 				}
 				pass.Reportf(id.Pos(),
-					"%s is reused after being handed to PutOwned on line %d: ownership transferred — "+
-						"the backend may still be consuming it; copy before the call or use Put",
-					id.Name, pass.Fset.Position(h.pos).Line)
+					"%s is reused after being handed to %s on line %d: ownership transferred — "+
+						"the store may still be using it; copy before the call or use Put",
+					id.Name, h.to, pass.Fset.Position(h.pos).Line)
 			}
 			return true
 		})

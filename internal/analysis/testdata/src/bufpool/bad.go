@@ -34,3 +34,22 @@ func UseAfterPut() byte {
 	storage.PutBuf(b)
 	return b[0] // want:bufpool
 }
+
+type slots struct {
+	blobs map[string][]byte
+}
+
+// Adopt keeps buf and hands back what it replaced.
+func (s *slots) Adopt(key string, buf []byte) []byte {
+	old := s.blobs[key]
+	s.blobs[key] = buf
+	return old
+}
+
+// DropReplaced adopts a buffer and forgets the one that comes back —
+// which is the caller's to recycle.
+func DropReplaced(s *slots, data []byte) int {
+	b := storage.CopyBuf(data)
+	old := s.Adopt("k", b) // want:bufpool
+	return len(old)
+}

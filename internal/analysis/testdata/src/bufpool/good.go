@@ -27,3 +27,11 @@ func Stash(h *holder) {
 	b := storage.GetBuf(16)
 	h.buf = b
 }
+
+// Swap hands a fresh buffer to its owner and recycles the one the owner
+// gave back.
+func Swap(s *slots, data []byte) {
+	b := storage.CopyBuf(data)
+	old := s.Adopt("k", b)
+	storage.PutBuf(old)
+}

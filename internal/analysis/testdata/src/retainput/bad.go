@@ -3,6 +3,8 @@
 // that reuse a buffer after PutOwned are true positives.
 package retainput
 
+import "moc/internal/storage"
+
 type leakyStore struct {
 	blobs map[string][]byte
 	last  []byte
@@ -33,4 +35,30 @@ func Reuse(o *ownedStore, buf []byte) byte {
 		return 0
 	}
 	return buf[0] // want:retainput
+}
+
+type slotStore struct {
+	blobs map[string][]byte
+}
+
+// Adopt is the named zero-copy hand-off: keeping buf is its contract,
+// so only the callers below are at fault.
+func (s *slotStore) Adopt(key string, buf []byte) []byte {
+	old := s.blobs[key]
+	s.blobs[key] = buf
+	return old
+}
+
+// WriteAfterAdopt scribbles on a buffer the store now serves.
+func WriteAfterAdopt(s *slotStore, buf []byte) {
+	s.Adopt("k", buf)
+	buf[0] = 0 // want:retainput
+}
+
+// RecycleAfterAdopt returns to the pool a buffer the store still holds:
+// the PutBuf that is blessed after PutOwned is a use-after-free here.
+func RecycleAfterAdopt(s *slotStore, data []byte) {
+	buf := storage.CopyBuf(data)
+	s.Adopt("k", buf)
+	storage.PutBuf(buf) // want:retainput
 }

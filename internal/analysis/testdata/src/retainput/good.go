@@ -38,3 +38,10 @@ func RecycleAfterHandoff(s *sink, n int) error {
 	storage.PutBuf(buf)
 	return err
 }
+
+// AdoptFresh hands over a private copy and never looks at it again;
+// the replaced buffer is its to recycle.
+func AdoptFresh(s *slotStore, data []byte) {
+	buf := storage.CopyBuf(data)
+	storage.PutBuf(s.Adopt("k", buf))
+}

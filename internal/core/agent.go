@@ -66,11 +66,28 @@ type Agent struct {
 	jobs chan persistJob
 	wg   sync.WaitGroup
 	errs []error
+
+	// Buffer ownership. A captured blob is one pooled buffer shared,
+	// read-only, by the snapshot store and by its round's persist job. It
+	// goes back to the pool once the store has let go of it (a newer round
+	// replaced it, or the node failed) and every persist job that may read
+	// it has returned. Jobs run in hand-off order, so that is when the
+	// newest job handed off before the buffer was let go returns:
+	// jobsQueued stamps the buffer, jobsReturned releases it.
+	jobsQueued, jobsReturned int
+	retired                  []retiredBuf
 }
 
 type persistJob struct {
 	round int
 	data  CheckpointData
+}
+
+// retiredBuf is a buffer the snapshot store no longer holds; it is pooled
+// once jobsReturned reaches after.
+type retiredBuf struct {
+	after int
+	buf   []byte
 }
 
 // NewAgent builds an agent over the given snapshot (CPU memory) and
@@ -153,9 +170,13 @@ func (a *Agent) StorageStats() cas.Stats { return a.store.Stats() }
 
 // TrySnapshot starts an asynchronous checkpoint of the given round. The
 // capture callback runs on the snapshot goroutine and must return a
-// consistent copy of the module states (the GPU→CPU copy). keepForPersist
-// selects which captured modules the persist level writes (persist-PEC);
-// nil persists everything captured.
+// consistent copy of the module states (the GPU→CPU copy); the caller
+// keeps those states unchanged until WaitSnapshot returns. The returned
+// blobs become the agent's: it adopts them into the snapshot store and
+// shares them with the persist job without copying, and recycles them with
+// storage.PutBuf when both are done, so the caller must not touch them
+// again. keepForPersist selects which captured modules the persist level
+// writes (persist-PEC); nil persists everything captured.
 //
 // It returns false — and the trigger is skipped, as in §5.2 — when a
 // snapshot is already in flight or no buffer is free.
@@ -175,48 +196,49 @@ func (a *Agent) TrySnapshot(round int, capture func() (CheckpointData, error), k
 
 func (a *Agent) runSnapshot(round int, capture func() (CheckpointData, error), keep func(string) bool) {
 	data, err := capture()
-	a.mu.Lock()
-	if err != nil {
-		a.capErr = err
-		a.capturing = false
-		a.inUse--
-		a.cond.Broadcast()
-		a.mu.Unlock()
-		return
-	}
-	a.mu.Unlock()
-
-	// Write the snapshot level: the CPU-memory store always holds the
-	// freshest captured copy of each module.
-	for k, blob := range data {
-		if putErr := a.snap.Put(k, blob); putErr != nil {
-			err = putErr
-			break
+	toPersist := data
+	if err == nil && keep != nil {
+		toPersist = make(CheckpointData, len(data))
+		for k, blob := range data {
+			if keep(k) {
+				toPersist[k] = blob
+			}
 		}
 	}
 
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.capturing = false
+	a.cond.Broadcast()
 	if err != nil {
 		a.capErr = err
 		a.inUse--
-		a.cond.Broadcast()
-		a.mu.Unlock()
 		return
 	}
-	a.stats.SnapshotsDone++
-	for k := range data {
+	// The snapshot level, its bookkeeping and the hand-off to the persist
+	// worker change together: adopting a blob is a pointer swap, and the
+	// send cannot block (at most nbuf jobs are ever outstanding).
+	for k, blob := range data {
+		a.retire(a.snap.Adopt(k, blob))
 		a.snapRound[k] = round
 	}
-	toPersist := make(CheckpointData, len(data))
-	for k, blob := range data {
-		if keep == nil || keep(k) {
-			toPersist[k] = blob
-		}
-	}
-	a.cond.Broadcast()
-	a.mu.Unlock()
+	a.stats.SnapshotsDone++
+	a.jobsQueued++
 	a.jobs <- persistJob{round: round, data: toPersist}
+}
+
+// retire takes a buffer the snapshot store has let go of (nil is ignored):
+// to the pool at once when no persist job is outstanding, otherwise when
+// the newest job handed off so far returns. Caller holds a.mu.
+func (a *Agent) retire(buf []byte) {
+	if buf == nil {
+		return
+	}
+	if a.jobsReturned < a.jobsQueued {
+		a.retired = append(a.retired, retiredBuf{after: a.jobsQueued, buf: buf})
+		return
+	}
+	storage.PutBuf(buf)
 }
 
 // persistLoop is the background CPU→storage worker: each job's payload
@@ -227,22 +249,26 @@ func (a *Agent) runSnapshot(round int, capture func() (CheckpointData, error), k
 func (a *Agent) persistLoop() {
 	defer a.wg.Done()
 	for job := range a.jobs {
-		var failed error
-		mods := make([]string, 0, len(job.data))
-		for k := range job.data {
-			mods = append(mods, k)
-		}
-		if _, err := a.store.WriteRound(job.round, job.data); err != nil {
-			failed = err
-		}
+		_, failed := a.store.WriteRound(job.round, job.data)
 		a.mu.Lock()
+		a.jobsReturned++
+		waiting := a.retired[:0]
+		for _, r := range a.retired {
+			if r.after <= a.jobsReturned {
+				storage.PutBuf(r.buf)
+			} else {
+				waiting = append(waiting, r)
+			}
+		}
+		clear(a.retired[len(waiting):]) // the pool owns those now
+		a.retired = waiting
 		if failed != nil {
 			a.errs = append(a.errs, failed)
 			a.inUse-- // buffer released without becoming recovery
 		} else {
 			a.stats.Persisted++
 			a.completeRounds = append(a.completeRounds, job.round)
-			for _, k := range mods {
+			for k := range job.data {
 				a.persistIndex[k] = append(a.persistIndex[k], job.round)
 			}
 			if a.recovery {
@@ -400,10 +426,13 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 }
 
 // FailNode simulates the node hosting this agent crashing: all in-memory
-// snapshots are lost; persisted state survives.
+// snapshots are lost; persisted state survives — including rounds still on
+// their way to storage, whose jobs keep reading the dropped buffers.
 func (a *Agent) FailNode() {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.snapRound = make(map[string]int)
-	a.mu.Unlock()
-	a.snap.Clear()
+	for _, buf := range a.snap.Clear() {
+		a.retire(buf)
+	}
 }

@@ -56,7 +56,10 @@ type entry struct {
 
 // Store is the caching PersistStore. It is safe for concurrent use.
 type Store struct {
-	inner    storage.PersistStore
+	inner storage.PersistStore
+	// fetch is the miss fill's read of inner: Get, or GetView for a
+	// store built with NewOverViews.
+	fetch    func(key string) ([]byte, error)
 	capacity int64
 
 	mu    sync.Mutex
@@ -81,10 +84,9 @@ type Store struct {
 // same key attach to. Once done is closed, data and err are immutable:
 // view readers may hand data out directly, Get readers copy from it.
 type flight struct {
-	done    chan struct{}
-	waiters int
-	data    []byte
-	err     error
+	done chan struct{}
+	data []byte
+	err  error
 }
 
 // New wraps a backend with an LRU cache bounded at capacityBytes.
@@ -97,6 +99,7 @@ func New(inner storage.PersistStore, capacityBytes int64) (*Store, error) {
 	}
 	c := &Store{
 		inner:    inner,
+		fetch:    inner.Get,
 		capacity: capacityBytes,
 		ll:       list.New(),
 		index:    make(map[string]*list.Element),
@@ -106,6 +109,25 @@ func New(inner storage.PersistStore, capacityBytes int64) (*Store, error) {
 		c.registerObs()
 	}
 	return c, nil
+}
+
+// ViewStore is a backend that also serves zero-copy views.
+type ViewStore interface {
+	storage.PersistStore
+	storage.Viewer
+}
+
+// NewOverViews is New for a backend whose views are as good as its copies
+// — another cache level: a miss fill reads inner.GetView and shares that
+// immutable slice instead of holding a copy of it. (It is not the default
+// for every Viewer because a view read may skip work a Get does, such as a
+// replica's read-repair.)
+func NewOverViews(inner ViewStore, capacityBytes int64) (*Store, error) {
+	c, err := New(inner, capacityBytes)
+	if err == nil {
+		c.fetch = inner.GetView
+	}
+	return c, err
 }
 
 // Stats returns a copy of the counters plus current residency.
@@ -119,8 +141,10 @@ func (c *Store) Stats() Stats {
 	return st
 }
 
-// insert admits a value (copying it), evicting from the LRU tail until
-// it fits. Values larger than the whole cache are not admitted — they
+// insert admits a value, evicting from the LRU tail until it fits. It
+// adopts data: the slice becomes the cache's immutable copy, so the caller
+// passes one nothing else will write (a private copy, or an immutable
+// view). Values larger than the whole cache are not admitted — they
 // would evict everything for a single entry that can never be resident
 // alongside anything else.
 func (c *Store) insert(key string, data []byte) {
@@ -130,10 +154,10 @@ func (c *Store) insert(key string, data []byte) {
 	if el, ok := c.index[key]; ok {
 		e := el.Value.(*entry)
 		c.bytes += int64(len(data)) - int64(len(e.data))
-		e.data = append([]byte(nil), data...)
+		e.data = data
 		c.ll.MoveToFront(el)
 	} else {
-		e := &entry{key: key, data: append([]byte(nil), data...)}
+		e := &entry{key: key, data: data}
 		c.index[key] = c.ll.PushFront(e)
 		c.bytes += int64(len(data))
 		c.stats.Insertions++
@@ -146,6 +170,20 @@ func (c *Store) insert(key string, data []byte) {
 		c.removeElement(tail)
 		c.stats.Evictions++
 	}
+}
+
+// admit is the write-through admission: a private copy of the caller's
+// slice, unless a Delete raced the backend write (see delGen).
+func (c *Store) admit(key string, data []byte, gen uint64) {
+	if int64(len(data)) > c.capacity {
+		return
+	}
+	cp := append([]byte(nil), data...)
+	c.mu.Lock()
+	if gen == c.delGen {
+		c.insert(key, cp)
+	}
+	c.mu.Unlock()
 }
 
 func (c *Store) removeElement(el *list.Element) {
@@ -166,11 +204,7 @@ func (c *Store) Put(key string, data []byte) error {
 	if err := c.inner.Put(key, data); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	if gen == c.delGen {
-		c.insert(key, data)
-	}
-	c.mu.Unlock()
+	c.admit(key, data, gen)
 	return nil
 }
 
@@ -185,11 +219,7 @@ func (c *Store) PutOwned(key string, data []byte) error {
 	if err := storage.PutNoRetain(c.inner, key, data); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	if gen == c.delGen {
-		c.insert(key, data)
-	}
-	c.mu.Unlock()
+	c.admit(key, data, gen)
 	return nil
 }
 
@@ -197,8 +227,8 @@ func (c *Store) PutOwned(key string, data []byte) error {
 // itself — no per-read copy, the win that makes warm recovery a pure
 // verify-and-reassemble pass. Cached slices are replaced on update,
 // never mutated (see insert), so outstanding views survive eviction and
-// overwrite intact. Misses fall through to the backend, admit the
-// value, and return the backend's copy. Concurrent misses of one key
+// overwrite intact. Misses fall through to the backend and admit and
+// return the one slice it produced. Concurrent misses of one key
 // coalesce into a single backend fetch (see read).
 func (c *Store) GetView(key string) ([]byte, error) {
 	return c.read(key, true)
@@ -215,10 +245,11 @@ func (c *Store) Get(key string) ([]byte, error) {
 // first miss of a key becomes the flight leader and fetches from the
 // backend; concurrent misses of the same key attach to that flight and
 // share its result (singleflight), so N readers of one cold chunk cost
-// one backend get. A flight's result slice is immutable once published:
-// view readers hand it out directly (the do-not-modify contract), Get
-// readers each take a private copy — except a leader with no waiters,
-// which owns the backend's slice outright.
+// one backend get. The fetched slice is private to the flight (or an
+// immutable view, see NewOverViews), so the cache adopts it instead of
+// copying it, and it is immutable from then on: view readers
+// get it directly (the do-not-modify contract), Get readers each take a
+// private copy.
 func (c *Store) read(key string, view bool) ([]byte, error) {
 	c.mu.Lock()
 	if el, ok := c.index[key]; ok {
@@ -232,35 +263,27 @@ func (c *Store) read(key string, view bool) ([]byte, error) {
 		// serialize behind each other's memcpy.
 		data := e.data
 		c.mu.Unlock()
-		if view {
-			return data, nil
-		}
-		return append([]byte(nil), data...), nil
+		return owned(data, view), nil
 	}
 	c.stats.Misses++
 	if f := c.flights[key]; f != nil {
 		c.stats.Coalesced++
-		f.waiters++
 		c.mu.Unlock()
 		<-f.done
 		if f.err != nil {
 			return nil, f.err
 		}
-		if view {
-			return f.data, nil
-		}
-		return append([]byte(nil), f.data...), nil
+		return owned(f.data, view), nil
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	gen := c.delGen
 	c.mu.Unlock()
 
-	data, err := c.inner.Get(key)
+	data, err := c.fetch(key)
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	waited := f.waiters // final: no new waiter can attach once unmapped
 	if err == nil {
 		c.stats.MissBytes += int64(len(data))
 		if gen == c.delGen {
@@ -274,12 +297,16 @@ func (c *Store) read(key string, view bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if view || waited == 0 {
-		return data, nil
+	return owned(data, view), nil
+}
+
+// owned is what a reader receives of an immutable cached slice: the slice
+// itself as a view, a private copy otherwise.
+func owned(data []byte, view bool) []byte {
+	if view {
+		return data
 	}
-	// Waiters share the flight's slice; a Get caller owns its result,
-	// so the leader copies exactly like its waiters do.
-	return append([]byte(nil), data...), nil
+	return append([]byte(nil), data...)
 }
 
 // GetCached returns the cached value as a view without consulting the

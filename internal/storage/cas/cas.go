@@ -66,7 +66,12 @@ const (
 
 // ChunkKey returns the backend key holding the chunk with the given
 // address.
-func ChunkKey(h Hash) string { return chunkPrefix + h.String() }
+func ChunkKey(h Hash) string {
+	var key [len(chunkPrefix) + 2*len(h)]byte
+	copy(key[:], chunkPrefix)
+	hex.Encode(key[len(chunkPrefix):], h[:])
+	return string(key[:])
+}
 
 func manifestKey(round int, writer string) string {
 	return fmt.Sprintf("%s%06d.%s", manifestPrefix, round, writer)

@@ -867,12 +867,11 @@ type planned struct {
 
 // fetchTask locates one chunk of a read plan: the planned module it
 // belongs to (and that module's position in the plan), and the chunk's
-// index and byte offset there.
+// index there.
 type fetchTask struct {
 	planned
 	pi  int
 	idx int
-	off int64
 }
 
 // startRead opens the tracing span of one public read call; the returned
@@ -886,26 +885,34 @@ func startRead(op string) (*obs.Span, func()) {
 	}
 }
 
-// readAt resolves each read to its manifest entry — when several writers
-// persisted one name in a round, writer order decides (the last wins) —
-// and fetches them as one plan; the i-th result is reads[i]'s payload.
+// Entry returns the manifest entry a read of module in round resolves to,
+// or nil — when several writers persisted one name in a round, writer
+// order decides (the last wins). Manifests are replaced, never edited (a
+// rewritten round, Refresh and Retain all install new ones), so the
+// pointer identifies one committed payload for as long as it is held.
+func (s *Store) Entry(round int, module string) *ModuleEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var entry *ModuleEntry
+	for _, m := range s.manifests[round] {
+		if e := m.Lookup(module); e != nil {
+			entry = e
+		}
+	}
+	return entry
+}
+
+// readAt resolves each read to its manifest entry (see Entry) and fetches
+// them as one plan; the i-th result is reads[i]'s payload.
 func (s *Store) readAt(sp *obs.Span, reads []ModuleAt) ([][]byte, error) {
 	plan := make([]planned, len(reads))
-	s.mu.Lock()
 	for i, r := range reads {
-		var entry *ModuleEntry
-		for _, m := range s.manifests[r.Round] {
-			if e := m.Lookup(r.Module); e != nil {
-				entry = e
-			}
-		}
+		entry := s.Entry(r.Round, r.Module)
 		if entry == nil {
-			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: %s@%06d", ErrModuleNotFound, r.Module, r.Round)
 		}
 		plan[i] = planned{round: r.Round, entry: entry}
 	}
-	s.mu.Unlock()
 	return s.fetchPlan(sp, plan)
 }
 
@@ -1009,20 +1016,24 @@ func (s *Store) ReadRound(round int) (map[string][]byte, error) {
 // them, and the single write into the output buffer is the reassembly
 // copy itself.
 func (s *Store) fetchPlan(sp *obs.Span, plan []planned) ([][]byte, error) {
-	// A module's output buffer is allocated by the first worker to land
-	// one of its chunks, not here: zeroing every buffer up front is a
-	// serial pass whose memory has left the cache by the time it is
-	// filled — a quarter of a memory-speed recovery.
+	// Workers collect a module's verified chunks and whichever lands the
+	// last one assembles it with bytes.Join — one copy into a buffer that
+	// is not zeroed first. Zeroing every buffer up front was a serial pass
+	// whose memory had left the cache by the time it was filled, a quarter
+	// of a memory-speed recovery; zeroing on first touch was still a tenth.
 	out := make([][]byte, len(plan))
-	allocs := make([]sync.Once, len(plan))
+	parts := make([][][]byte, len(plan))
+	missing := make([]atomic.Int32, len(plan))
 	var tasks []fetchTask
 	for pi, p := range plan {
 		if len(p.entry.Chunks) == 0 {
 			out[pi] = []byte{}
 		}
+		parts[pi] = make([][]byte, len(p.entry.Chunks))
+		missing[pi].Store(int32(len(p.entry.Chunks)))
 		var off int64
 		for i, c := range p.entry.Chunks {
-			tasks = append(tasks, fetchTask{planned: p, idx: i, off: off, pi: pi})
+			tasks = append(tasks, fetchTask{planned: p, idx: i, pi: pi})
 			off += int64(c.Size)
 		}
 		if off != p.entry.Size {
@@ -1053,8 +1064,11 @@ func (s *Store) fetchPlan(sp *obs.Span, plan []planned) ([][]byte, error) {
 			return fmt.Errorf("cas: %s@%06d chunk %d: %d bytes, manifest says %d",
 				t.entry.Module, t.round, t.idx, len(data), ref.Size)
 		}
-		allocs[t.pi].Do(func() { out[t.pi] = make([]byte, t.entry.Size) })
-		copy(out[t.pi][t.off:], data)
+		parts[t.pi][t.idx] = data
+		if missing[t.pi].Add(-1) == 0 {
+			out[t.pi] = bytes.Join(parts[t.pi], nil)
+			parts[t.pi] = nil
+		}
 		return nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"moc/internal/obs"
@@ -17,25 +18,48 @@ import (
 // pays off on its own too — the whole manifest walk, chunk fetch,
 // verify, and reassemble pipeline runs once per concurrent cohort.
 //
-// Coalescing is per concurrent cohort only: a restore arriving after
+// Whole restores coalesce per concurrent cohort only: one arriving after
 // the flight completed runs again (and is then served by the cache
-// tiers underneath). The returned maps are shared by every coalesced
-// caller — treat payloads as read-only, or copy before mutating. The
-// standard recovery path (core.Agent) copies module payloads into
-// tensors, so it needs nothing extra.
+// tiers underneath). Subset reads additionally share the modules
+// restored most recently (recentBytes of them): serving readers ask for
+// the same few hot modules over and over, and re-assembling one costs a
+// fetch, a SHA-256 pass and a module-sized buffer of fresh pages each
+// time. Either way the returned payloads are shared between callers —
+// treat them as read-only, or copy before mutating. The standard
+// recovery path (core.Agent) copies module payloads into tensors, so it
+// needs nothing extra.
 type Pool struct {
 	store *cas.Store
 	g     Group[map[string][]byte]
 
 	restores  atomic.Int64
 	coalesced atomic.Int64
+	shared    atomic.Int64
+
+	mu          sync.Mutex
+	recent      []recentModule // oldest first
+	recentBytes int
+}
+
+// recentBytes bounds the payload bytes the pool keeps of recently
+// restored modules.
+const recentBytes = 1 << 20
+
+// recentModule is one restored payload, keyed by the manifest entry it
+// was assembled from: a rewritten round, Refresh and Retain install new
+// entries, so a stale payload can never be found again.
+type recentModule struct {
+	entry *cas.ModuleEntry
+	blob  []byte
 }
 
 // PoolStats counts restore activity.
 type PoolStats struct {
 	// Restores counts calls; Coalesced the subset served by another
-	// caller's in-flight restore (cas reads = Restores − Coalesced).
-	Restores, Coalesced int64
+	// caller's in-flight restore; Shared the subset reads served whole
+	// from recently restored modules (cas reads = Restores − Coalesced −
+	// Shared).
+	Restores, Coalesced, Shared int64
 }
 
 // NewPool wraps an opened cas store.
@@ -65,10 +89,79 @@ func (p *Pool) ReadRound(round int) (map[string][]byte, error) {
 func (p *Pool) ReadModules(round int, modules []string) (map[string][]byte, error) {
 	names := append([]string(nil), modules...)
 	sort.Strings(names)
-	key := fmt.Sprintf("subset/%06d/%s", round, strings.Join(names, "\x00"))
-	return p.do(key, func() (map[string][]byte, error) {
-		return p.store.ReadModules(round, names)
+	// Modules restored a moment ago are shared; only the rest is read.
+	out := make(map[string][]byte, len(names))
+	entries := make(map[string]*cas.ModuleEntry, len(names))
+	miss := names[:0]
+	p.mu.Lock()
+	for _, name := range names {
+		if _, seen := entries[name]; seen {
+			continue
+		}
+		e := p.store.Entry(round, name) // nil: absent, the read reports it
+		entries[name] = e
+		if blob, ok := p.recentLocked(e); ok && e != nil {
+			out[name] = blob
+		} else {
+			miss = append(miss, name)
+		}
+	}
+	p.mu.Unlock()
+	if len(miss) == 0 {
+		p.restores.Add(1)
+		p.shared.Add(1)
+		return out, nil
+	}
+	key := fmt.Sprintf("subset/%06d/%s", round, strings.Join(miss, "\x00"))
+	got, err := p.do(key, func() (map[string][]byte, error) {
+		return p.store.ReadModules(round, miss)
 	})
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	for name, blob := range got {
+		out[name] = blob
+		// Filed under the entry resolved before the read: had the round
+		// been rewritten meanwhile, that entry is never looked up again.
+		p.rememberLocked(entries[name], blob)
+	}
+	p.mu.Unlock()
+	return out, nil
+}
+
+func (p *Pool) recentLocked(e *cas.ModuleEntry) ([]byte, bool) {
+	for _, r := range p.recent {
+		if r.entry == e {
+			return r.blob, true
+		}
+	}
+	return nil, false
+}
+
+// rememberLocked appends a restored payload and drops the oldest ones
+// beyond recentBytes (a payload larger than that is not kept at all).
+func (p *Pool) rememberLocked(e *cas.ModuleEntry, blob []byte) {
+	if _, ok := p.recentLocked(e); ok || e == nil || len(blob) > recentBytes {
+		return
+	}
+	p.recent = append(p.recent, recentModule{e, blob})
+	p.recentBytes += len(blob)
+	drop := 0
+	for p.recentBytes > recentBytes {
+		p.recentBytes -= len(p.recent[drop].blob)
+		drop++
+	}
+	p.recent = append(p.recent[:0], p.recent[drop:]...)
+	clear(p.recent[len(p.recent) : len(p.recent)+drop])
+}
+
+// Forget drops the recently restored modules — what a reader does when it
+// refreshes its view of the store.
+func (p *Pool) Forget() {
+	p.mu.Lock()
+	p.recent, p.recentBytes = nil, 0
+	p.mu.Unlock()
 }
 
 // Rounds lists the rounds visible to the underlying store.
@@ -90,5 +183,5 @@ func (p *Pool) do(key string, fn func() (map[string][]byte, error)) (map[string]
 
 // Stats returns the restore counters.
 func (p *Pool) Stats() PoolStats {
-	return PoolStats{Restores: p.restores.Load(), Coalesced: p.coalesced.Load()}
+	return PoolStats{Restores: p.restores.Load(), Coalesced: p.coalesced.Load(), Shared: p.shared.Load()}
 }

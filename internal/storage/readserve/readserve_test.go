@@ -3,7 +3,9 @@ package readserve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -550,4 +552,138 @@ func TestNodeShardPassthroughDefaults(t *testing.T) {
 	if n.ShardCount() != 1 || n.Locate("k") != 0 {
 		t.Fatalf("unsharded backend passthrough: %d/%d", n.ShardCount(), n.Locate("k"))
 	}
+}
+
+// TestPoolSharesRecentlyRestoredModules: a subset read finds the modules
+// restored a moment earlier and reads only the rest; the shared payload is
+// the same buffer, not a copy; the memory kept is bounded; and a payload
+// can never outlive what it was read from — rewriting the round, or
+// forgetting on refresh, makes the next read go back to the store.
+func TestPoolSharesRecentlyRestoredModules(t *testing.T) {
+	mem := storage.NewMemStore()
+	want := seedRound(t, mem, 3, "w0/a", "w0/b", "w0/c")
+	gate := &gateStore{PersistStore: mem, release: make(chan struct{})}
+	close(gate.release) // count chunk gets, hold nothing
+	st, err := cas.Open(gate, cas.Options{ChunkSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(names ...string) map[string][]byte {
+		t.Helper()
+		got, err := pool.ReadModules(3, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if !bytes.Equal(got[n], want[n]) {
+				t.Fatalf("module %s: wrong bytes", n)
+			}
+		}
+		return got
+	}
+	first := read("w0/a", "w0/b")
+	afterFirst := gate.chunkGets.Load()
+	again := read("w0/b", "w0/a", "w0/a")
+	if gate.chunkGets.Load() != afterFirst {
+		t.Fatalf("a repeated subset fetched %d more chunks", gate.chunkGets.Load()-afterFirst)
+	}
+	if &again["w0/a"][0] != &first["w0/a"][0] {
+		t.Fatal("the repeated read copied the payload instead of sharing it")
+	}
+	// One module known, one not: only the unknown one is read.
+	read("w0/a", "w0/c")
+	if got, wantGets := gate.chunkGets.Load()-afterFirst, int64((len(want["w0/c"])+511)/512); got != wantGets {
+		t.Fatalf("mixed subset fetched %d chunks, module c alone has %d", got, wantGets)
+	}
+	if ps := pool.Stats(); ps.Restores != 3 || ps.Shared != 1 || ps.Coalesced != 0 {
+		t.Fatalf("pool stats = %+v, want 3 restores / 1 shared", ps)
+	}
+	if _, err := pool.ReadModules(3, []string{"w0/a", "nope"}); !errors.Is(err, cas.ErrModuleNotFound) {
+		t.Fatalf("absent module beside a shared one: %v", err)
+	}
+
+	// The same writer commits round 3 again with other bytes: the shared
+	// payload belongs to a manifest entry that no longer resolves.
+	rewritten := bytes.Repeat([]byte{'z'}, 1024)
+	if _, err := st.WriteRound(3, map[string][]byte{"w0/a": rewritten}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := pool.ReadModules(3, []string{"w0/a"}); err != nil || !bytes.Equal(got["w0/a"], rewritten) {
+		t.Fatalf("read after rewrite returned the old payload (%v)", err)
+	}
+	before := gate.chunkGets.Load()
+	pool.Forget()
+	if got, err := pool.ReadModules(3, []string{"w0/a"}); err != nil || !bytes.Equal(got["w0/a"], rewritten) || gate.chunkGets.Load() == before {
+		t.Fatalf("read after Forget did not go back to the store (%v)", err)
+	}
+
+	// Bounded: many distinct modules leave at most recentBytes behind, and
+	// nothing of the dropped ones.
+	big := make(map[string][]byte)
+	for i := 0; i < 40; i++ {
+		big[fmt.Sprintf("big/%02d", i)] = bytes.Repeat([]byte{byte(i)}, 100<<10)
+	}
+	if _, err := st.WriteRound(4, big); err != nil {
+		t.Fatal(err)
+	}
+	for name := range big {
+		if _, err := pool.ReadModules(4, []string{name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool.mu.Lock()
+	kept, bytesKept := len(pool.recent), pool.recentBytes
+	tail := pool.recent[len(pool.recent):cap(pool.recent)]
+	pool.mu.Unlock()
+	if bytesKept > recentBytes || kept != recentBytes/(100<<10) {
+		t.Fatalf("pool keeps %d payloads / %d bytes, bound is %d bytes", kept, bytesKept, recentBytes)
+	}
+	for _, r := range tail {
+		if r.blob != nil {
+			t.Fatal("a dropped payload is still referenced behind the slice")
+		}
+	}
+}
+
+func TestPoolSharingIsSafeUnderConcurrentReaders(t *testing.T) {
+	mem := storage.NewMemStore()
+	want := seedRound(t, mem, 5, "w0/a", "w0/b", "w0/c", "w0/d")
+	st, err := cas.Open(mem, cas.Options{ChunkSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"w0/a", "w0/b", "w0/c", "w0/d"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				sub := []string{names[(g+i)%4], names[(g+2*i+1)%4]}
+				got, err := pool.ReadModules(5, sub)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, n := range sub {
+					if !bytes.Equal(got[n], want[n]) {
+						t.Errorf("module %s: wrong bytes", n)
+						return
+					}
+				}
+				if i%50 == 49 {
+					pool.Forget()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -143,7 +143,7 @@ func New(backend storage.PersistStore, cfg Config) (*Tier, error) {
 // passthrough), so a cas.Store — or a whole System — opens directly
 // over one.
 func (t *Tier) NewNode() (*Node, error) {
-	l1, err := cache.New(&sharedLevel{t: t}, t.cfg.L1Bytes)
+	l1, err := cache.NewOverViews(&sharedLevel{t: t}, t.cfg.L1Bytes)
 	if err != nil {
 		return nil, err
 	}
@@ -209,32 +209,25 @@ func (t *Tier) admit(key string) bool {
 // sharedGet serves one node's L1 miss from the shared side: a warm-tier
 // hit is a promotion; a hot miss read-throughs (and admits) via the L2;
 // a cold miss fetches the backend directly through the tier's own
-// singleflight without polluting the warm tier. The returned slice is
-// always a private copy — the caller's L1 hands it to its own caller,
-// which owns Get results.
+// singleflight without polluting the warm tier. The returned slice is a
+// view — the L2's own slice, or a flight's shared among its coalesced
+// waiters: immutable, and what the node's L1 keeps, so a chunk hot on
+// several nodes is resident once.
 func (t *Tier) sharedGet(key string) ([]byte, error) {
 	if v, ok := t.l2.GetCached(key); ok {
 		t.l2Hits.Add(1)
 		t.promotions.Add(1)
-		return append([]byte(nil), v...), nil
+		return v, nil
 	}
 	t.l2Misses.Add(1)
 	if t.admit(key) {
-		v, err := t.l2.GetView(key)
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte(nil), v...), nil
+		return t.l2.GetView(key)
 	}
 	t.coldFetches.Add(1)
 	v, _, err := t.direct.Do(key, func() ([]byte, error) {
 		return (&countedBackend{t: t}).Get(key)
 	})
-	if err != nil {
-		return nil, err
-	}
-	// The flight's slice is shared among coalesced waiters; copy.
-	return append([]byte(nil), v...), nil
+	return v, err
 }
 
 // sharedPut is the write half: write-through to the backend, warming
@@ -294,13 +287,22 @@ func (cb *countedBackend) Keys(prefix string) ([]string, error) {
 	return cb.t.backend.Keys(prefix)
 }
 
-// sharedLevel adapts the tier's shared side to the PersistStore surface
-// a node's L1 reads through.
+// sharedLevel adapts the tier's shared side to the store surface a
+// node's L1 reads through: views for the L1 to keep (cache.NewOverViews),
+// copies for anyone else.
 type sharedLevel struct {
 	t *Tier
 }
 
-func (s *sharedLevel) Get(key string) ([]byte, error)      { return s.t.sharedGet(key) }
+func (s *sharedLevel) Get(key string) ([]byte, error) {
+	v, err := s.t.sharedGet(key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), v...), nil
+}
+
+func (s *sharedLevel) GetView(key string) ([]byte, error)  { return s.t.sharedGet(key) }
 func (s *sharedLevel) Put(key string, data []byte) error   { return s.t.sharedPut(key, data, false) }
 func (s *sharedLevel) PutOwned(key string, d []byte) error { return s.t.sharedPut(key, d, true) }
 func (s *sharedLevel) Delete(key string) error             { return s.t.sharedDelete(key) }
@@ -364,7 +366,7 @@ var (
 	_ storage.OwnedPutter  = (*Node)(nil)
 	_ storage.Viewer       = (*Node)(nil)
 	_ storage.Sharder      = (*Node)(nil)
-	_ storage.PersistStore = (*sharedLevel)(nil)
+	_ cache.ViewStore      = (*sharedLevel)(nil)
 	_ storage.OwnedPutter  = (*sharedLevel)(nil)
 	_ storage.PersistStore = (*countedBackend)(nil)
 	_ storage.OwnedPutter  = (*countedBackend)(nil)

@@ -1,12 +1,17 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -580,4 +585,179 @@ func (s *sliceRetainer) Keys(prefix string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// codecGolden is what the map encoder this repository shipped before the
+// one-pass list encoder produced for codecGoldenTensors: checkpoints
+// written then must decode now, and chunk hashes and dedup must not move.
+const codecGolden = "21436f4d040000000400000070302e6d000000000400000070302e76030000000000807f00000000000000be03000000703130020000000000c03f000010c002000000703201000000000040401857e706"
+
+func codecGoldenTensors() map[string][]float32 {
+	return map[string][]float32{
+		"p10": {1.5, -2.25}, "p2": {3}, "p0.m": {}, "p0.v": {float32(math.Inf(1)), 0, -0.125},
+	}
+}
+
+func TestCodecWireFormatIsPinned(t *testing.T) {
+	got := EncodeTensors(codecGoldenTensors())
+	if hex.EncodeToString(got) != codecGolden {
+		t.Fatalf("wire bytes changed:\n got %x\nwant %s", got, codecGolden)
+	}
+	// The list encoder is the same format given the same order.
+	list := []Tensor{
+		{"p0.m", nil}, {"p0.v", []float32{float32(math.Inf(1)), 0, -0.125}},
+		{"p10", []float32{1.5, -2.25}}, {"p2", []float32{3}},
+	}
+	if fromList := EncodeTensorList(list); !bytes.Equal(fromList, got) {
+		t.Fatalf("list encoder differs from map encoder:\n%x\n%x", fromList, got)
+	}
+}
+
+// craftBlob wraps a body in the codec's magic and a valid checksum, so
+// only the structural checks stand between it and the decoder.
+func craftBlob(afterMagic ...uint32) []byte {
+	blob := binary.LittleEndian.AppendUint32(nil, codecMagic)
+	for _, v := range afterMagic {
+		blob = binary.LittleEndian.AppendUint32(blob, v)
+	}
+	return binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+}
+
+func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
+	// Well-formed checksum, absurd counts: the decoder must refuse from
+	// the blob's size alone, not after reserving what the header asks for.
+	crafted := map[string][]byte{
+		"tensor count":      craftBlob(0xFFFFFFFF),
+		"count over a body": craftBlob(0x10000000, 0, 0),
+		"key length":        craftBlob(1, 0xFFFFFFFF, 0),
+		"value count":       craftBlob(1, 0, 0xFFFFFFFF),
+	}
+	for name, blob := range crafted {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := DecodeTensors(blob)
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("%s: crafted blob decoded", name)
+		}
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoder allocated %d bytes for a %d-byte blob", name, grew, len(blob))
+		}
+		dst := []Tensor{{"k", make([]float32, 1)}}
+		if err := DecodeTensorsInto(blob, dst); err == nil {
+			t.Errorf("%s: crafted blob decoded into a layout", name)
+		}
+	}
+}
+
+func TestDecodeTensorsIntoRoundTrip(t *testing.T) {
+	src := []Tensor{{"p0", []float32{1, 2, 3}}, {"p1", nil}, {"p10", []float32{-4.5}}, {"p2", []float32{6, 7}}}
+	blob := EncodeTensorList(src)
+	defer PutBuf(blob)
+	dst := []Tensor{{"p0", make([]float32, 3)}, {"p1", nil}, {"p10", make([]float32, 1)}, {"p2", make([]float32, 2)}}
+	if err := DecodeTensorsInto(blob, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		for j, v := range src[i].Data {
+			if dst[i].Data[j] != v {
+				t.Fatalf("%s[%d] = %v, want %v", src[i].Key, j, dst[i].Data[j], v)
+			}
+		}
+	}
+	asMap, err := DecodeTensors(blob)
+	if err != nil || len(asMap) != len(src) || asMap["p10"][0] != -4.5 {
+		t.Fatalf("map decoder disagrees: %v %v", asMap, err)
+	}
+}
+
+func TestDecodeTensorsIntoRejectsWithoutWriting(t *testing.T) {
+	blob := EncodeTensors(map[string][]float32{"p0": {1, 2, 3}, "p1": {4, 5}})
+	layout := func() []Tensor {
+		return []Tensor{{"p0", []float32{-1, -1, -1}}, {"p1", []float32{-1, -1}}}
+	}
+	untouched := func(t *testing.T, dst []Tensor) {
+		t.Helper()
+		for _, d := range dst {
+			for i, v := range d.Data {
+				if v != -1 {
+					t.Fatalf("%s[%d] written (%v) by a rejected decode", d.Key, i, v)
+				}
+			}
+		}
+	}
+	cases := map[string]func() ([]byte, []Tensor){
+		"wrong length": func() ([]byte, []Tensor) {
+			dst := layout()
+			dst[1].Data = []float32{-1, -1, -1}
+			return blob, dst
+		},
+		"missing tensor": func() ([]byte, []Tensor) {
+			return blob, append(layout(), Tensor{"p2", []float32{-1}})
+		},
+		"tensor the layout lacks": func() ([]byte, []Tensor) {
+			return blob, layout()[:1]
+		},
+		"other key": func() ([]byte, []Tensor) {
+			dst := layout()
+			dst[1].Key = "p9"
+			return blob, dst
+		},
+		"trailing bytes": func() ([]byte, []Tensor) {
+			body := append(append([]byte(nil), blob[:len(blob)-4]...), 0, 0, 0, 0)
+			return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)), layout()
+		},
+		"truncated": func() ([]byte, []Tensor) { return blob[:len(blob)-6], layout() },
+	}
+	for name, build := range cases {
+		b, dst := build()
+		if err := DecodeTensorsInto(b, dst); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		untouched(t, dst)
+	}
+	// A bad checksum anywhere — including in the last tensor, after the
+	// first one would already have been copied by a streaming decoder.
+	for i := range blob {
+		bad := append([]byte(nil), blob...)
+		bad[i] ^= 0x40
+		dst := layout()
+		if err := DecodeTensorsInto(bad, dst); err == nil {
+			t.Fatalf("corruption at byte %d accepted", i)
+		}
+		untouched(t, dst)
+	}
+	dst := layout()
+	if err := DecodeTensorsInto(blob, dst); err != nil || dst[0].Data[2] != 3 || dst[1].Data[1] != 5 {
+		t.Fatalf("intact blob: %v %v", err, dst)
+	}
+}
+
+func TestSnapshotStoreAdoptSharesAndReturnsTheOldBuffer(t *testing.T) {
+	s := NewSnapshotStore()
+	first := CopyBuf([]byte("round-0"))
+	firstAt := &first[0]
+	if old := s.Adopt("k", first); old != nil {
+		t.Fatalf("first adopt replaced %q", old)
+	}
+	second := CopyBuf([]byte("round-01"))
+	secondAt := &second[0]
+	old := s.Adopt("k", second)
+	if len(old) == 0 || &old[0] != firstAt {
+		t.Fatal("adopt did not hand back the buffer it replaced")
+	}
+	// The replaced buffer is the caller's: nothing recycled it behind the
+	// caller's back, so a reader still sharing it sees its bytes.
+	if string(old) != "round-0" {
+		t.Fatalf("replaced buffer changed: %q", old)
+	}
+	PutBuf(old)
+	if got, _ := s.Get("k"); string(got) != "round-01" || s.Bytes() != 8 {
+		t.Fatalf("store holds %q (%d bytes)", got, s.Bytes())
+	}
+	dropped := s.Clear()
+	if len(dropped) != 1 || &dropped[0][0] != secondAt || s.Bytes() != 0 {
+		t.Fatalf("clear dropped %d buffers, %d bytes left", len(dropped), s.Bytes())
+	}
+	PutBuf(dropped[0])
 }

@@ -88,20 +88,28 @@ func NewSnapshotStore() *SnapshotStore {
 	return &SnapshotStore{blobs: make(map[string][]byte)}
 }
 
-// Put stores a blob (copying it, as a DMA into host memory would). The
-// copy lives in a pooled buffer: snapshot slots are rewritten with
-// same-shaped payloads every checkpoint round, so the buffer retired
-// here is almost always the one the next round's copy reuses. Get
-// returns copies and never views, which is what makes retiring the
-// replaced buffer to the pool safe.
-func (s *SnapshotStore) Put(key string, data []byte) error {
-	cp := CopyBuf(data)
+// Adopt stores blob without copying it: ownership passes to the store and
+// the caller must not touch blob afterwards. It returns the buffer the key
+// held before (nil if none), which now belongs to the caller — to recycle
+// with PutBuf once nothing else reads it. The checkpoint agent captures
+// module state straight into pooled buffers and adopts them here, so the
+// snapshot level costs no copy; Get returns copies and never views, which
+// is what lets a replaced buffer go back to the pool at all.
+func (s *SnapshotStore) Adopt(key string, blob []byte) (old []byte) {
 	s.mu.Lock()
-	old := s.blobs[key]
-	s.blobs[key] = cp
-	s.bytes += int64(len(cp)) - int64(len(old))
+	old = s.blobs[key]
+	s.blobs[key] = blob
+	s.bytes += int64(len(blob)) - int64(len(old))
 	s.mu.Unlock()
-	PutBuf(old)
+	return old
+}
+
+// Put stores a copy of data (as a DMA into host memory would). The copy
+// lives in a pooled buffer: slots are rewritten with same-shaped payloads
+// round after round, so the buffer retired here is almost always the one
+// the next copy reuses.
+func (s *SnapshotStore) Put(key string, data []byte) error {
+	PutBuf(s.Adopt(key, CopyBuf(data)))
 	return nil
 }
 
@@ -143,16 +151,19 @@ func (s *SnapshotStore) Keys(prefix string) ([]string, error) {
 	return out, nil
 }
 
-// Clear simulates a node failure: all in-memory snapshots are lost.
-func (s *SnapshotStore) Clear() {
+// Clear simulates a node failure: all in-memory snapshots are lost. The
+// dropped buffers are returned and belong to the caller, who knows whether
+// anything (a persist job sharing an adopted buffer) still reads them.
+func (s *SnapshotStore) Clear() [][]byte {
 	s.mu.Lock()
-	old := s.blobs
+	dropped := make([][]byte, 0, len(s.blobs))
+	for _, b := range s.blobs {
+		dropped = append(dropped, b)
+	}
 	s.blobs = make(map[string][]byte)
 	s.bytes = 0
 	s.mu.Unlock()
-	for _, b := range old {
-		PutBuf(b)
-	}
+	return dropped
 }
 
 // Bytes returns the resident snapshot volume.

@@ -40,88 +40,54 @@ func VariantWO() Variant { return Variant{PECOnWeights: true, PECOnOptimizer: tr
 // VariantFull applies PEC to nothing: every checkpoint saves all state.
 func VariantFull() Variant { return Variant{} }
 
-// moduleTensors flattens a module's parameters to named tensors.
-func (m *Model) moduleTensors(name string, weights bool) map[string][]float32 {
-	ps, ok := m.modules[name]
-	if !ok {
-		return nil
-	}
-	out := make(map[string][]float32)
-	for i, p := range ps {
-		if weights {
-			out[fmt.Sprintf("p%d", i)] = append([]float32(nil), p.W.Data...)
-		} else {
-			out[fmt.Sprintf("p%d.m", i)] = append([]float32(nil), p.M.Data...)
-			out[fmt.Sprintf("p%d.v", i)] = append([]float32(nil), p.V.Data...)
-		}
-	}
-	return out
-}
-
-// Capture builds the checkpoint payload for one round. sel restricts which
-// experts are included (nil = all); the variant decides whether the expert
-// restriction applies to weights, optimizer state, or both. Non-expert
-// modules are always captured in full. The returned data is a deep copy,
-// safe to hand to the asynchronous agent.
+// Capture builds the checkpoint payload for one round in a single pass:
+// each module is encoded straight from its parameters into one pooled
+// buffer (storage.GetBuf) in the storage codec's wire format. sel restricts
+// which experts are included (nil = all); the variant decides whether the
+// expert restriction applies to weights, optimizer state, or both.
+// Non-expert modules are always captured in full. Capture only reads the
+// model, so it may run beside ForwardBackward but not beside Update or
+// Restore. The blobs belong to the caller, which may hand them on to the
+// checkpoint agent or recycle them with storage.PutBuf.
 func (m *Model) Capture(sel *core.Selection, v Variant) core.CheckpointData {
 	out := make(core.CheckpointData, 2*len(m.moduleOrder)+1)
 	for _, name := range m.moduleOrder {
-		moeLayer, expert, isExpert := m.IsExpertModule(name)
-		saveW, saveO := true, true
-		if isExpert {
-			selected := sel.Contains(moeLayer, expert)
-			if v.PECOnWeights && !selected {
-				saveW = false
-			}
-			if v.PECOnOptimizer && !selected {
-				saveO = false
-			}
+		mod := m.modules[name]
+		selected := !mod.isExpert || sel.Contains(mod.moeLayer, mod.expert)
+		if selected || !v.PECOnWeights {
+			out[name+weightSuffix] = storage.EncodeTensorList(mod.weights)
 		}
-		if saveW {
-			out[name+weightSuffix] = storage.EncodeTensors(m.moduleTensors(name, true))
-		}
-		if saveO {
-			out[name+optSuffix] = storage.EncodeTensors(m.moduleTensors(name, false))
+		if selected || !v.PECOnOptimizer {
+			out[name+optSuffix] = storage.EncodeTensorList(mod.opt)
 		}
 	}
-	out[metaKey] = storage.EncodeTensors(map[string][]float32{
-		"step": {float32(m.step)},
-		"iter": {float32(m.iter)},
+	out[metaKey] = storage.EncodeTensorList([]storage.Tensor{
+		{Key: "iter", Data: []float32{float32(m.iter)}},
+		{Key: "step", Data: []float32{float32(m.step)}},
 	})
 	return out
 }
 
-// restoreModule loads tensors into a module's weights or optimizer state.
-func (m *Model) restoreModule(name string, tensors map[string][]float32, weights bool) error {
-	ps, ok := m.modules[name]
-	if !ok {
-		return fmt.Errorf("train: unknown module %q", name)
-	}
-	for i, p := range ps {
-		if weights {
-			vals, ok := tensors[fmt.Sprintf("p%d", i)]
-			if !ok || len(vals) != len(p.W.Data) {
-				return fmt.Errorf("train: module %q param %d weight shape mismatch", name, i)
-			}
-			copy(p.W.Data, vals)
-		} else {
-			mv, ok1 := tensors[fmt.Sprintf("p%d.m", i)]
-			vv, ok2 := tensors[fmt.Sprintf("p%d.v", i)]
-			if !ok1 || !ok2 || len(mv) != len(p.M.Data) || len(vv) != len(p.V.Data) {
-				return fmt.Errorf("train: module %q param %d optimizer shape mismatch", name, i)
-			}
-			copy(p.M.Data, mv)
-			copy(p.V.Data, vv)
+// splitKey resolves a checkpoint key to its module and state class.
+func (m *Model) splitKey(key string) (mod *module, weights, ok bool) {
+	name, weights := strings.CutSuffix(key, weightSuffix)
+	if !weights {
+		if name, ok = strings.CutSuffix(key, optSuffix); !ok {
+			return nil, false, false
 		}
 	}
-	return nil
+	mod = m.modules[name]
+	return mod, weights, mod != nil
 }
 
 // Restore applies recovered checkpoint state to the model. Modules absent
 // from the recovery keep their current (post-initialization) state — with
 // PEC this is exactly the stale-experts semantics, since recovery follows
-// initialization on a restarted job. It returns the training iteration
-// recorded in the recovered metadata; the caller rewinds its loop there.
+// initialization on a restarted job. Each blob is verified whole (checksum,
+// tensor names, lengths) and then decoded straight into the parameters; a
+// rejected blob leaves its module untouched. It returns the training
+// iteration recorded in the recovered metadata; the caller rewinds its
+// loop there.
 func (m *Model) Restore(rec map[string]core.RecoveredModule) (iteration int, err error) {
 	meta, ok := rec[metaKey]
 	if !ok {
@@ -135,22 +101,16 @@ func (m *Model) Restore(rec map[string]core.RecoveredModule) (iteration int, err
 		if key == metaKey {
 			continue
 		}
-		var name string
-		var weights bool
-		switch {
-		case strings.HasSuffix(key, weightSuffix):
-			name, weights = strings.TrimSuffix(key, weightSuffix), true
-		case strings.HasSuffix(key, optSuffix):
-			name, weights = strings.TrimSuffix(key, optSuffix), false
-		default:
-			return 0, fmt.Errorf("train: unrecognized checkpoint key %q", key)
+		mod, weights, ok := m.splitKey(key)
+		if !ok {
+			return 0, fmt.Errorf("train: checkpoint key %q names no module state", key)
 		}
-		tensors, err := storage.DecodeTensors(rm.Blob)
-		if err != nil {
-			return 0, fmt.Errorf("train: decode %q: %w", key, err)
+		layout := mod.opt
+		if weights {
+			layout = mod.weights
 		}
-		if err := m.restoreModule(name, tensors, weights); err != nil {
-			return 0, err
+		if err := storage.DecodeTensorsInto(rm.Blob, layout); err != nil {
+			return 0, fmt.Errorf("train: restore %q: %w", key, err)
 		}
 	}
 	if s, ok := metaT["step"]; ok && len(s) == 1 {
@@ -172,27 +132,14 @@ func (m *Model) PersistFilter(persistSel *core.Selection, v Variant) func(string
 		return nil
 	}
 	return func(key string) bool {
-		var name string
-		var isWeight bool
-		switch {
-		case strings.HasSuffix(key, weightSuffix):
-			name, isWeight = strings.TrimSuffix(key, weightSuffix), true
-		case strings.HasSuffix(key, optSuffix):
-			name = strings.TrimSuffix(key, optSuffix)
-		default:
-			return true // meta
+		mod, weights, ok := m.splitKey(key)
+		if !ok || !mod.isExpert {
+			return true // meta and non-expert state
 		}
-		moeLayer, expert, isExpert := m.IsExpertModule(name)
-		if !isExpert {
+		if weights && !v.PECOnWeights || !weights && !v.PECOnOptimizer {
 			return true
 		}
-		if isWeight && !v.PECOnWeights {
-			return true
-		}
-		if !isWeight && !v.PECOnOptimizer {
-			return true
-		}
-		return persistSel.Contains(moeLayer, expert)
+		return persistSel.Contains(mod.moeLayer, mod.expert)
 	}
 }
 
@@ -200,8 +147,8 @@ func (m *Model) PersistFilter(persistSel *core.Selection, v Variant) func(string
 // to compare recovery outcomes.
 func (m *Model) CloneState() map[string][]float32 {
 	out := make(map[string][]float32)
-	for name, ps := range m.modules {
-		for i, p := range ps {
+	for name, mod := range m.modules {
+		for i, p := range mod.params {
 			out[fmt.Sprintf("%s#%d", name, i)] = append([]float32(nil), p.W.Data...)
 		}
 	}

@@ -41,17 +41,33 @@ type blockCache struct {
 	slots   [][]slotCache
 }
 
-// TrainBatch runs one optimization step over the examples and returns the
-// mean cross-entropy loss plus routing statistics. Training is
-// deterministic given the model seed and example stream.
+// TrainBatch runs one optimization step over the examples — ForwardBackward
+// then Update — and returns the mean cross-entropy loss plus routing
+// statistics. Training is deterministic given the model seed and example
+// stream.
 func (m *Model) TrainBatch(examples []data.Example) (StepStats, error) {
-	stats, err := m.process(examples, true)
+	stats, err := m.ForwardBackward(examples)
 	if err != nil {
 		return stats, err
 	}
+	m.Update()
+	return stats, nil
+}
+
+// ForwardBackward is the first half of a step: it reads the weights and
+// accumulates gradients, and writes neither weights nor optimizer state —
+// so a checkpoint capture may read them concurrently (Fig. 3: the snapshot
+// overlaps the next iteration's forward and backward passes).
+func (m *Model) ForwardBackward(examples []data.Example) (StepStats, error) {
+	return m.process(examples, true)
+}
+
+// Update is the second half: the Adam update from the accumulated
+// gradients, the only writer of weights and optimizer state, and the
+// iteration count. An in-flight capture must have finished before it.
+func (m *Model) Update() {
 	m.adamStep()
 	m.iter++
-	return stats, nil
 }
 
 // Evaluate computes the mean loss and next-token accuracy on the examples

@@ -18,9 +18,11 @@ package train
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"moc/internal/model"
 	"moc/internal/rng"
+	"moc/internal/storage"
 	"moc/internal/tensor"
 )
 
@@ -108,6 +110,37 @@ type block struct {
 	ffn      *ffnParams // dense FFN when !isMoE
 }
 
+// module is one checkpoint module: its parameters, the layout of its two
+// checkpoint blobs and, for an expert, its place in the MoE grid — all
+// fixed at construction, so nothing on the capture, restore or update path
+// formats or parses a name.
+type module struct {
+	params []*Param
+	// weights and opt are the "<name>/w" and "<name>/opt" blobs' tensors
+	// in wire order, aliasing Param.W.Data and Param.{M,V}.Data: capture
+	// and restore move bytes straight between parameters and blob.
+	weights, opt []storage.Tensor
+	// moeLayer and expert place an expert module (isExpert) in the grid.
+	moeLayer, expert int
+	isExpert         bool
+}
+
+func newModule(ps []*Param) *module {
+	mod := &module{params: ps}
+	for i, p := range ps {
+		key := fmt.Sprintf("p%d", i)
+		mod.weights = append(mod.weights, storage.Tensor{Key: key, Data: p.W.Data})
+		mod.opt = append(mod.opt,
+			storage.Tensor{Key: key + ".m", Data: p.M.Data},
+			storage.Tensor{Key: key + ".v", Data: p.V.Data})
+	}
+	// Wire order is ascending by key, not by index: "p10" sorts before "p2".
+	for _, l := range [][]storage.Tensor{mod.weights, mod.opt} {
+		sort.Slice(l, func(i, j int) bool { return l[i].Key < l[j].Key })
+	}
+	return mod
+}
+
 // Model is a trainable sparse-MoE language model.
 type Model struct {
 	cfg    Config
@@ -117,8 +150,8 @@ type Model struct {
 	out    *Param
 	outB   *Param
 
-	// modules maps checkpoint module names to their parameters.
-	modules     map[string][]*Param
+	// modules maps checkpoint module names to their parameters and layout.
+	modules     map[string]*module
 	moduleOrder []string
 	// moeLayers[l] is the transformer-layer index of the l-th MoE layer.
 	moeLayers []int
@@ -136,12 +169,14 @@ func New(cfg Config) (*Model, error) {
 	h := mc.HiddenSize
 	ff := mc.FFNMult * h
 	r := rng.New(cfg.Seed)
-	m := &Model{cfg: cfg, r: r, modules: make(map[string][]*Param)}
+	m := &Model{cfg: cfg, r: r, modules: make(map[string]*module)}
 	std := 1.0 / math.Sqrt(float64(h))
 
-	reg := func(name string, ps ...*Param) {
-		m.modules[name] = ps
+	reg := func(name string, ps ...*Param) *module {
+		mod := newModule(ps)
+		m.modules[name] = mod
 		m.moduleOrder = append(m.moduleOrder, name)
+		return mod
 	}
 
 	m.embed = newParam("embed.token", mc.VocabSize, h, r, std)
@@ -171,7 +206,8 @@ func New(cfg Config) (*Model, error) {
 			for e := 0; e < mc.NumExperts; e++ {
 				exp := newFFN(fmt.Sprintf("layer%d.moe.expert%d", i, e))
 				b.experts = append(b.experts, exp)
-				reg(fmt.Sprintf("layer%d.moe.expert%d", i, e), exp.params()...)
+				mod := reg(fmt.Sprintf("layer%d.moe.expert%d", i, e), exp.params()...)
+				mod.moeLayer, mod.expert, mod.isExpert = moeIdx, e, true
 			}
 			moeIdx++
 		} else {
@@ -205,17 +241,11 @@ func (m *Model) ExpertModuleName(moeLayer, expert int) string {
 	return fmt.Sprintf("layer%d.moe.expert%d", m.moeLayers[moeLayer], expert)
 }
 
-// IsExpertModule parses an expert module name, returning its MoE-layer and
-// expert indices.
+// IsExpertModule reports whether name is one of the model's expert
+// modules, returning its MoE-layer and expert indices.
 func (m *Model) IsExpertModule(name string) (moeLayer, expert int, ok bool) {
-	var layer int
-	if n, err := fmt.Sscanf(name, "layer%d.moe.expert%d", &layer, &expert); err != nil || n != 2 {
-		return 0, 0, false
-	}
-	for l, tl := range m.moeLayers {
-		if tl == layer {
-			return l, expert, true
-		}
+	if mod := m.modules[name]; mod != nil && mod.isExpert {
+		return mod.moeLayer, mod.expert, true
 	}
 	return 0, 0, false
 }
@@ -223,8 +253,8 @@ func (m *Model) IsExpertModule(name string) (moeLayer, expert int, ok bool) {
 // NumParams returns the total trainable parameter count.
 func (m *Model) NumParams() int {
 	total := 0
-	for _, ps := range m.modules {
-		for _, p := range ps {
+	for _, mod := range m.modules {
+		for _, p := range mod.params {
 			total += p.W.NumParams()
 		}
 	}
@@ -232,7 +262,8 @@ func (m *Model) NumParams() int {
 }
 
 // adamStep applies one Adam update to every parameter from the accumulated
-// gradients, then clears them.
+// gradients, then clears them. It is the only writer of W, M and V during
+// training.
 func (m *Model) adamStep() {
 	m.step++
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -240,15 +271,14 @@ func (m *Model) adamStep() {
 	c2 := 1 - math.Pow(beta2, float64(m.step))
 	lr := float32(m.cfg.LR)
 	for _, name := range m.moduleOrder {
-		if m.cfg.FreezeExperts {
-			if _, _, isExpert := m.IsExpertModule(name); isExpert {
-				for _, p := range m.modules[name] {
-					p.G.Zero()
-				}
-				continue
+		mod := m.modules[name]
+		if m.cfg.FreezeExperts && mod.isExpert {
+			for _, p := range mod.params {
+				p.G.Zero()
 			}
+			continue
 		}
-		for _, p := range m.modules[name] {
+		for _, p := range mod.params {
 			for i, g := range p.G.Data {
 				if g == 0 {
 					// Untouched parameters (unrouted experts) keep

@@ -1,12 +1,16 @@
 package train
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"moc/internal/core"
 	"moc/internal/data"
 	"moc/internal/model"
+	"moc/internal/rng"
+	"moc/internal/storage"
 )
 
 func tinyConfig() Config {
@@ -115,7 +119,7 @@ func TestGradientCheck(t *testing.T) {
 	}
 	const eps = 1e-2
 	for _, c := range checks {
-		ps := m.modules[c.module]
+		ps := m.modules[c.module].params
 		p := ps[c.pi]
 		analytic := float64(p.G.Data[c.wi])
 		orig := p.W.Data[c.wi]
@@ -453,5 +457,131 @@ func TestAuxLossReported(t *testing.T) {
 	}
 	if st2.AuxLoss != 0 {
 		t.Fatalf("aux loss reported with coeff 0: %v", st2.AuxLoss)
+	}
+}
+
+// legacyModuleBlob is the encoding this trainer used before the one-pass
+// capture: every tensor deep-copied into a map keyed "p<i>" / "p<i>.m" /
+// "p<i>.v" and handed to the map encoder. The module layouts must
+// reproduce it byte for byte — chunk hashes, cross-round dedup and every
+// checkpoint already on disk depend on it.
+func legacyModuleBlob(ps []*Param, weights bool) []byte {
+	tensors := make(map[string][]float32)
+	for i, p := range ps {
+		if weights {
+			tensors[fmt.Sprintf("p%d", i)] = append([]float32(nil), p.W.Data...)
+		} else {
+			tensors[fmt.Sprintf("p%d.m", i)] = append([]float32(nil), p.M.Data...)
+			tensors[fmt.Sprintf("p%d.v", i)] = append([]float32(nil), p.V.Data...)
+		}
+	}
+	return storage.EncodeTensors(tensors)
+}
+
+func TestCaptureIsByteIdenticalToTheMapEncoder(t *testing.T) {
+	cfg := tinyConfig()
+	m := newTiny(t, cfg)
+	corpus := data.NewCorpus("x", cfg.Model.VocabSize, 1)
+	for it := 0; it < 5; it++ { // non-trivial weights and Adam state
+		if _, err := m.TrainBatch(corpus.Batch(1, it, cfg.BatchSize, cfg.Window)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := m.Capture(nil, VariantFull())
+	if want := 2*len(m.moduleOrder) + 1; len(got) != want {
+		t.Fatalf("captured %d blobs, want %d", len(got), want)
+	}
+	for _, name := range m.moduleOrder {
+		ps := m.modules[name].params
+		if !bytes.Equal(got[name+"/w"], legacyModuleBlob(ps, true)) {
+			t.Errorf("%s/w differs from the map encoder's bytes", name)
+		}
+		if !bytes.Equal(got[name+"/opt"], legacyModuleBlob(ps, false)) {
+			t.Errorf("%s/opt differs from the map encoder's bytes", name)
+		}
+	}
+	meta := storage.EncodeTensors(map[string][]float32{
+		"step": {float32(m.step)}, "iter": {float32(m.iter)},
+	})
+	if !bytes.Equal(got["meta/state"], meta) {
+		t.Error("meta/state differs from the map encoder's bytes")
+	}
+
+	// Twelve parameters: "p10" and "p11" sort before "p2", and "p1.v"
+	// before "p10.m" — wire order is by key, not by index.
+	r := rng.New(9)
+	var ps []*Param
+	for i := 0; i < 12; i++ {
+		p := newParam(fmt.Sprintf("synthetic.%d", i), 1+i%3, 2+i%2, r, 1)
+		for j := range p.M.Data {
+			p.M.Data[j], p.V.Data[j] = r.NormFloat32(0, 1), r.NormFloat32(0, 1)
+		}
+		ps = append(ps, p)
+	}
+	mod := newModule(ps)
+	if mod.weights[2].Key != "p10" || mod.opt[3].Key != "p1.v" || mod.opt[4].Key != "p10.m" {
+		t.Fatalf("layout order: %q %q %q", mod.weights[2].Key, mod.opt[3].Key, mod.opt[4].Key)
+	}
+	if !bytes.Equal(storage.EncodeTensorList(mod.weights), legacyModuleBlob(ps, true)) {
+		t.Error("12-parameter weights blob differs from the map encoder's bytes")
+	}
+	if !bytes.Equal(storage.EncodeTensorList(mod.opt), legacyModuleBlob(ps, false)) {
+		t.Error("12-parameter optimizer blob differs from the map encoder's bytes")
+	}
+}
+
+func TestRestoreRejectsWhatItCannotPlace(t *testing.T) {
+	cfg := tinyConfig()
+	m := newTiny(t, cfg)
+	full := m.Capture(nil, VariantFull())
+	only := func(key string, blob []byte) map[string]core.RecoveredModule {
+		return map[string]core.RecoveredModule{"meta/state": {Blob: full["meta/state"]}, key: {Blob: blob}}
+	}
+	// Move the head away from what the blobs hold, so any write shows.
+	head := m.modules["head"].params
+	state := func() (out []float32) {
+		for _, p := range head {
+			out = append(append(append(out, p.W.Data...), p.M.Data...), p.V.Data...)
+		}
+		return out
+	}
+	orig := head[0].W.Data[0]
+	for _, p := range head {
+		for i := range p.W.Data {
+			p.W.Data[i]++
+			p.M.Data[i]++
+			p.V.Data[i]++
+		}
+	}
+	before := state()
+
+	other := m.ExpertModuleName(0, 1)
+	flipped := append([]byte(nil), full["head/w"]...)
+	flipped[len(flipped)-9] ^= 0x10 // in the last tensor: the first is intact
+	cases := map[string]struct {
+		key  string
+		blob []byte
+	}{
+		"unknown module":                        {"layer9.moe.expert0/w", full[other+"/w"]},
+		"unknown state class":                   {"head/grad", full["head/w"]},
+		"another module's shape":                {"head/w", full[other+"/w"]},
+		"weights where optimizer state belongs": {"head/opt", full["head/w"]},
+		"bad checksum":                          {"head/w", flipped},
+	}
+	for name, c := range cases {
+		if _, err := m.Restore(only(c.key, c.blob)); err == nil {
+			t.Errorf("%s: restore accepted it", name)
+		}
+		for i, v := range state() {
+			if v != before[i] {
+				t.Fatalf("%s: head state [%d] written by a rejected restore", name, i)
+			}
+		}
+	}
+	if _, err := m.Restore(only("head/w", full["head/w"])); err != nil {
+		t.Fatalf("intact blob: %v", err)
+	}
+	if w := head[0].W.Data[0]; w != orig {
+		t.Fatalf("intact blob restored %v, want %v", w, orig)
 	}
 }

@@ -127,17 +127,19 @@ func (rt *ReadTier) Drop() { rt.t.Drop() }
 // RestorePoolStats counts a pool's restore activity.
 type RestorePoolStats struct {
 	// Restores counts restore calls; Coalesced the subset served by
-	// another caller's identical in-flight restore, so actual store
-	// reads are Restores − Coalesced.
-	Restores, Coalesced int64
+	// another caller's identical in-flight restore; Shared the subset
+	// reads served whole from modules restored a moment earlier — so
+	// actual store reads are Restores − Coalesced − Shared.
+	Restores, Coalesced, Shared int64
 }
 
 // RestorePool is the many-reader restore front-end over a checkpoint
 // store: concurrent restores of the same round — or the same module
 // subset — share one recovery fan-out instead of each walking the
-// manifest and fetching every chunk independently. Returned maps are
-// shared by coalesced callers; treat payloads as read-only or copy
-// before mutating.
+// manifest and fetching every chunk independently, and a subset read
+// shares the modules restored most recently (about 1 MiB of them; Refresh
+// forgets them). Returned payloads are shared between callers; treat them
+// as read-only or copy before mutating.
 type RestorePool struct {
 	store *cas.Store
 	pool  *readserve.Pool
@@ -200,10 +202,13 @@ func (p *RestorePool) ReadModules(round int, modules []string) (map[string][]byt
 
 // Refresh re-scans the backend for rounds committed after the pool was
 // opened.
-func (p *RestorePool) Refresh() error { return p.store.Refresh() }
+func (p *RestorePool) Refresh() error {
+	p.pool.Forget()
+	return p.store.Refresh()
+}
 
 // Stats returns the pool's restore counters.
 func (p *RestorePool) Stats() RestorePoolStats {
 	st := p.pool.Stats()
-	return RestorePoolStats{Restores: st.Restores, Coalesced: st.Coalesced}
+	return RestorePoolStats{Restores: st.Restores, Coalesced: st.Coalesced, Shared: st.Shared}
 }

@@ -323,6 +323,11 @@ type Stats struct {
 	ModulesUnchanged int64
 }
 
+// pendingRound is the bookkeeping of a round whose snapshot is in flight.
+type pendingRound struct {
+	snapSel, persistSel *core.Selection
+}
+
 // System trains a sparse-MoE model with MoC checkpointing and fault
 // injection.
 type System struct {
@@ -339,7 +344,13 @@ type System struct {
 	// standalone system (see NewFleet / Fleet.NewSystem).
 	sess *fleet.Session
 
-	round         int
+	round int
+	// pending is the round handed to the agent whose capture has not been
+	// waited for yet; settle applies its bookkeeping.
+	pending *pendingRound
+	// captureHook, when set (tests), runs on the snapshot goroutine before
+	// the capture and may fail it.
+	captureHook   func() error
 	nextFaultNode int
 	faults        int
 	kSnapshot     int
@@ -504,7 +515,9 @@ func (s *System) NumMoELayers() int { return s.model.NumMoELayers() }
 func (s *System) Iteration() int { return s.model.Iteration() }
 
 // Step runs one training iteration (and a checkpoint when the interval
-// elapses), returning the batch loss.
+// elapses), returning the batch loss. A snapshot still being captured
+// overlaps forward+backward, which only read the weights; Step waits for it
+// just before the weight update (Fig. 3, Stats().SnapshotWaitSeconds).
 func (s *System) Step() (float64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("moc: system closed")
@@ -512,13 +525,20 @@ func (s *System) Step() (float64, error) {
 	it := s.model.Iteration()
 	tc := s.model.Config()
 	batch := s.corpus.Batch(s.cfg.Seed, it, tc.BatchSize, tc.Window)
-	st, err := s.model.TrainBatch(batch)
+	st, err := s.model.ForwardBackward(batch)
 	if err != nil {
 		return 0, err
 	}
+	// A failed capture reads the model no more than a finished one, so the
+	// iteration completes either way and the error is reported after it.
+	snapErr := s.settle()
+	s.model.Update()
 	for l, r := range st.Routings {
 		s.plt.RecordBatch(l, r.PerExpertFloat(), float64(r.RoutedSlots))
 		s.aware.Observe(l, r.PerExpertFloat())
+	}
+	if snapErr != nil {
+		return st.Loss, snapErr
 	}
 	done := s.model.Iteration()
 	if iv := s.checkpointInterval(); iv > 0 && done%iv == 0 {
@@ -527,6 +547,31 @@ func (s *System) Step() (float64, error) {
 		}
 	}
 	return st.Loss, nil
+}
+
+// settle is the snapshot barrier: it waits until no capture is reading the
+// model, so the caller may write it (the weight update, a restore), and
+// applies the captured round's bookkeeping — or, when the capture failed,
+// drops it and reports the error, leaving the round number and the PLT
+// ledger as if the round had never been triggered.
+func (s *System) settle() error {
+	err := s.agent.WaitSnapshot()
+	p := s.pending
+	s.pending = nil
+	if err != nil {
+		return fmt.Errorf("moc: snapshot: %w", err)
+	}
+	if p != nil {
+		// Under the "W"/"O" variants PEC applies only to one state class;
+		// the other class is saved in full, which the PLT tracker models as
+		// a full save only when both classes are full. Token-update loss
+		// follows the filtered class, so track with the PEC selections.
+		s.plt.RecordSnapshot(p.snapSel)
+		s.plt.RecordPersist(p.persistSel)
+		s.aware.Committed(p.snapSel)
+		s.round++
+	}
+	return nil
 }
 
 // checkpointInterval is the effective checkpoint interval this
@@ -558,9 +603,14 @@ func (s *System) selector() core.Selector {
 // performs), so every expert exists in some complete checkpoint and a
 // restart can always rebuild the whole model; subsequent rounds apply the
 // PEC selections.
+//
+// It costs a selection and a hand-off: the capture runs on the agent's
+// snapshot goroutine and reads the model, so nothing may write the model
+// until settle has returned; the persist level follows behind it.
 func (s *System) checkpoint() error {
-	// The snapshot copy must be consistent: capture synchronously (the
-	// GPU→CPU copy), then serialize and persist asynchronously.
+	if err := s.settle(); err != nil {
+		return err
+	}
 	var snapSel, persistSel *core.Selection
 	if s.round > 0 && s.kSnapshot < s.cfg.Experts {
 		if s.cfg.Selection == SelectLoadAware {
@@ -580,9 +630,16 @@ func (s *System) checkpoint() error {
 			persistSel = s.selector().Select(s.round, s.kPersist)
 		}
 	}
-	payload := s.model.Capture(snapSel, s.variant)
+	hook := s.captureHook
+	capture := func() (core.CheckpointData, error) {
+		if hook != nil {
+			if err := hook(); err != nil {
+				return nil, err
+			}
+		}
+		return s.model.Capture(snapSel, s.variant), nil
+	}
 	filter := s.model.PersistFilter(persistSel, s.variant)
-	capture := func() (core.CheckpointData, error) { return payload, nil }
 	if !s.agent.TrySnapshot(s.round, capture, filter) {
 		// Buffers busy (an earlier persist still in flight). The timing
 		// simulator models this as a skipped trigger; the accuracy
@@ -595,27 +652,24 @@ func (s *System) checkpoint() error {
 			return fmt.Errorf("moc: checkpoint trigger refused after drain")
 		}
 	}
-	if err := s.agent.WaitSnapshot(); err != nil {
-		return fmt.Errorf("moc: snapshot: %w", err)
-	}
-	// Under the "W"/"O" variants PEC applies only to one state class;
-	// the other class is saved in full, which the PLT tracker models as
-	// a full save only when both classes are full. Token-update loss
-	// follows the filtered class, so track with the PEC selections.
-	s.plt.RecordSnapshot(snapSel)
-	s.plt.RecordPersist(persistSel)
-	s.aware.Committed(snapSel)
-	s.round++
+	s.pending = &pendingRound{snapSel: snapSel, persistSel: persistSel}
 	return nil
 }
 
-// CheckpointNow forces a checkpoint round regardless of the interval.
+// CheckpointNow forces a checkpoint round regardless of the interval. It
+// returns at the hand-off to the agent; the state saved is the model's at
+// this call, since nothing writes the model before the barrier (see Step).
 func (s *System) CheckpointNow() error { return s.checkpoint() }
 
 // FlushCheckpoints blocks until every started checkpoint has fully
-// persisted (the persist level runs asynchronously), returning the first
-// persist error if any.
-func (s *System) FlushCheckpoints() error { return s.agent.Flush() }
+// persisted (the snapshot and persist levels run asynchronously),
+// returning the first snapshot or persist error if any.
+func (s *System) FlushCheckpoints() error {
+	if err := s.settle(); err != nil {
+		return err
+	}
+	return s.agent.Flush()
+}
 
 // RunTo trains until the given iteration, returning the last loss.
 func (s *System) RunTo(iteration int) (float64, error) {
@@ -645,7 +699,7 @@ func (s *System) InjectFault() error {
 	if s.closed {
 		return fmt.Errorf("moc: system closed")
 	}
-	if err := s.agent.Flush(); err != nil {
+	if err := s.FlushCheckpoints(); err != nil {
 		return fmt.Errorf("moc: flush before fault: %w", err)
 	}
 	if s.agent.LatestCompleteRound() < 0 {
@@ -737,7 +791,11 @@ func (s *System) forkInto(corpus *Corpus, cfg Config, store PersistStore, sess *
 	for k, b := range payload {
 		rec[k] = core.RecoveredModule{Blob: b}
 	}
-	if _, err := ns.model.Restore(rec); err != nil {
+	_, err = ns.model.Restore(rec)
+	for _, b := range payload {
+		storage.PutBuf(b)
+	}
+	if err != nil {
 		ns.Close()
 		return nil, fmt.Errorf("moc: fork: %w", err)
 	}
@@ -813,7 +871,7 @@ func (s *System) Stats() Stats {
 // rounds survive by refcount). It returns the number of objects removed.
 // Recovery outcomes are unaffected.
 func (s *System) CompactStorage() (int, error) {
-	if err := s.agent.Flush(); err != nil {
+	if err := s.FlushCheckpoints(); err != nil {
 		return 0, err
 	}
 	return s.agent.Compact()
@@ -824,7 +882,7 @@ func (s *System) CompactStorage() (int, error) {
 // CRC — and audits the store's chunk reference counts. It returns the
 // number of blobs verified.
 func (s *System) VerifyStorage() (int, error) {
-	if err := s.agent.Flush(); err != nil {
+	if err := s.FlushCheckpoints(); err != nil {
 		return 0, err
 	}
 	return s.agent.Verify()
@@ -837,7 +895,10 @@ func (s *System) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.agent.Close()
+	err := s.settle()
+	if cerr := s.agent.Close(); err == nil {
+		err = cerr
+	}
 	if s.sess != nil {
 		if rerr := s.sess.Release(); err == nil {
 			err = rerr
