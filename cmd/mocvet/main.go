@@ -1,6 +1,6 @@
 // Command mocvet runs moc's project-invariant static-analysis suite:
-// the contracts the storage stack states in comments (copy-on-put,
-// PutOwned ownership transfer, Guard lock discipline, GetBuf/PutBuf
+// the contracts the storage stack states in comments (Put does not
+// retain, Adopt hand-off, Guard lock discipline, GetBuf/PutBuf
 // pairing, the simtime wall-clock monopoly, errors.Is for sentinels)
 // enforced mechanically over every package in the module.
 //

@@ -42,8 +42,9 @@
 // with cross-job dedup, epoch-fenced job leases, fleet-safe garbage
 // collection, and a background scrub/repair daemon.
 //
-// The stack's concurrency and ownership contracts — copy-on-put,
-// PutOwned ownership transfer, GetBuf/PutBuf pairing, the write-guard
+// The stack's concurrency and ownership contracts — a store's Put does
+// not retain its input (storage.PersistStore), SnapshotStore.Adopt is the
+// one hand-off that does, GetBuf/PutBuf pairing, the write-guard
 // lock discipline, errors.Is for wrapped sentinels, and the
 // internal/simtime wall-clock monopoly — are mechanically enforced by
 // the project linter (internal/analysis, run as `go run ./cmd/mocvet

@@ -65,112 +65,27 @@ type FleetJob struct {
 // (Fleet.SetCadence). Zero values take defaults: ×2 per down backend,
 // ×1.5 while anti-entropy repair is owed, ×1.5 while the shard balance
 // exceeds 1.5, capped at ×8, relaxing half the gap per healthy scrub.
-type FleetCadenceConfig struct {
-	// DownStretch multiplies the checkpoint interval once per backend
-	// probing unhealthy (two down → DownStretch²).
-	DownStretch float64
-	// BacklogStretch multiplies the interval while a reconciling
-	// anti-entropy Sync is owed.
-	BacklogStretch float64
-	// ImbalanceStretch multiplies the interval while the shard chunk
-	// balance (max/mean) exceeds ImbalanceOver.
-	ImbalanceStretch float64
-	ImbalanceOver    float64
-	// MaxStretch caps the combined stretch; Relax is the fraction of
-	// the gap closed per healthy scrub pass while recovering.
-	MaxStretch float64
-	Relax      float64
-}
+type FleetCadenceConfig = fleet.CadenceConfig
 
 // FleetJobStats is one job's storage footprint on the shared store.
-type FleetJobStats struct {
-	ID         string
-	Parent     string
-	Registered bool
-	Rounds     int
-	// LogicalBytes is the job's presented checkpoint volume; ChunkBytes
-	// the unique chunk bytes it references (what a per-job independent
-	// store would hold); ExclusiveChunkBytes the subset no other job
-	// shares.
-	LogicalBytes        int64
-	ChunkBytes          int64
-	ExclusiveChunkBytes int64
-}
+type FleetJobStats = fleet.JobStats
 
-// FleetStats is the fleet-wide storage and maintenance summary.
-type FleetStats struct {
-	Jobs []FleetJobStats
-	// LogicalBytes sums every job's presented volume;
-	// PhysicalChunkBytes is the shared store's unique chunk volume;
-	// IndependentChunkBytes what the same jobs would hold on per-job
-	// independent stores.
-	LogicalBytes          int64
-	PhysicalChunkBytes    int64
-	IndependentChunkBytes int64
-	// DedupRatio is 1 − physical/logical; CrossJobDedupRatio is
-	// 1 − physical/independent — the saving attributable to sharing one
-	// chunk namespace specifically (0 when no chunk is shared).
-	DedupRatio         float64
-	CrossJobDedupRatio float64
-	// Repairs counts replica read-repair write-backs; BackendsDown the
-	// replicas probing unhealthy at the last scrub; the remaining fields
-	// are scrub/repair daemon lifetime counters.
-	Repairs       int64
-	BackendsDown  int
-	ScrubPasses   int64
-	SyncCopies    int64
-	HealsDetected int64
-	ScrubFindings int64
-	// SyncOwed reports outstanding anti-entropy repair debt — a backend
-	// saw downtime and its reconciling Sync has not completed yet.
-	SyncOwed bool
-	// CadenceStretch is the adaptive checkpoint cadence's current
-	// interval stretch (1 unless SetCadence enabled adaptation and the
-	// fleet is degraded).
-	CadenceStretch float64
-	// Shards breaks the storage distribution down per shard when the
-	// shared store is sharded (NewShardedStore; nil otherwise), in ring
-	// order. ShardBalance is then max/mean chunk bytes across shards
-	// (1.0 = perfectly even).
-	Shards       []FleetShardStats
-	ShardBalance float64
-	// ReadTier reports the read-serving cache hierarchy's counters when
-	// FleetConfig.ReadTier is set (nil otherwise).
-	ReadTier *ReadTierStats
-}
+// FleetStats is the fleet-wide storage and maintenance summary: per-job
+// volumes, the cross-job dedup ratio, the scrub/repair counters, the
+// per-shard distribution when the shared store is sharded
+// (NewShardedStore) and the read tier's counters when
+// FleetConfig.ReadTier is set.
+type FleetStats = fleet.Stats
 
 // FleetShardStats is one shard's slice of the fleet's storage and
 // health.
-type FleetShardStats struct {
-	Name string
-	// Chunks/ChunkBytes count the live chunks routing to this shard.
-	Chunks     int
-	ChunkBytes int64
-	// BackendsDown counts the shard's backends probing unhealthy at the
-	// last scrub; Findings its lifetime integrity findings.
-	BackendsDown int
-	Findings     int64
-}
+type FleetShardStats = fleet.ShardStats
 
 // FleetScrubReport summarizes one scrub/repair pass (see Fleet.Scrub).
-type FleetScrubReport struct {
-	Backends, Down, Healed int
-	SyncCopies             int
-	Missing, Orphans       int
-	ChunksVerified         int
-	Corrupt                int
-	// Shards breaks the pass down per shard when the shared store is
-	// sharded (nil otherwise); the counters above are then aggregates.
-	Shards []FleetShardScrub
-}
+type FleetScrubReport = fleet.ScrubReport
 
 // FleetShardScrub is one shard's slice of a scrub pass.
-type FleetShardScrub struct {
-	Name                   string
-	Backends, Down, Healed int
-	SyncCopies             int
-	Missing, Corrupt       int
-}
+type FleetShardScrub = fleet.ShardScrub
 
 // Fleet is the multi-job checkpoint service over one shared store.
 type Fleet struct {
@@ -191,16 +106,12 @@ type Fleet struct {
 // fleet over an existing store resumes its jobs.
 func NewFleet(store PersistStore, cfg FleetConfig) (*Fleet, error) {
 	cfg.Obs.apply()
-	fc := fleet.Config{
+	svc, err := fleet.Open(store, fleet.Config{
 		LeaseTTL:           cfg.LeaseTTL,
 		ScrubChunksPerPass: cfg.ScrubChunksPerPass,
 		Now:                cfg.Now,
-	}
-	if cfg.ReadTier != nil {
-		rc := cfg.ReadTier.toInternal()
-		fc.ReadTier = &rc
-	}
-	svc, err := fleet.Open(store, fc)
+		ReadTier:           cfg.ReadTier,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -263,16 +174,7 @@ func (f *Fleet) ExpiredJobs() []FleetJob {
 // geometric (Relax of the remaining gap per healthy pass), so a
 // flapping backend does not make the cadence flap. Enable it before
 // starting the scrub daemon.
-func (f *Fleet) SetCadence(cfg FleetCadenceConfig) {
-	f.svc.SetCadence(fleet.CadenceConfig{
-		DownStretch:      cfg.DownStretch,
-		BacklogStretch:   cfg.BacklogStretch,
-		ImbalanceStretch: cfg.ImbalanceStretch,
-		ImbalanceOver:    cfg.ImbalanceOver,
-		MaxStretch:       cfg.MaxStretch,
-		Relax:            cfg.Relax,
-	})
-}
+func (f *Fleet) SetCadence(cfg FleetCadenceConfig) { f.svc.SetCadence(cfg) }
 
 // Cadence maps a base checkpoint interval through the current adaptive
 // stretch — what a training loop outside System.Step asks each round to
@@ -292,16 +194,7 @@ func (f *Fleet) CadenceStretch() float64 { return f.svc.CadenceStretch() }
 // lineage. With cfg.Resume set, the System restores the job's latest
 // complete checkpoint: the fleet counterpart of reopening a store.
 func (f *Fleet) NewSystem(cfg Config, jobID string) (*System, error) {
-	sess, err := f.svc.AcquireOrRegister(jobID, "")
-	if err != nil {
-		return nil, err
-	}
-	sys, err := newSystemOn(cfg, nil, nil, sess)
-	if err != nil {
-		sess.Release()
-		return nil, err
-	}
-	return sys, nil
+	return f.NewSystemWith(cfg, jobID, nil)
 }
 
 // NewSystemWith is NewSystem training on the provided corpus (nil = the
@@ -360,47 +253,7 @@ func (f *Fleet) Retain() (int, error) {
 
 // Stats reports the fleet-wide storage footprint — per-job volumes and
 // the cross-job dedup ratio — plus the scrub/repair counters.
-func (f *Fleet) Stats() (FleetStats, error) {
-	st, err := f.svc.Stats()
-	if err != nil {
-		return FleetStats{}, err
-	}
-	out := FleetStats{
-		LogicalBytes:          st.LogicalBytes,
-		PhysicalChunkBytes:    st.PhysicalChunkBytes,
-		IndependentChunkBytes: st.IndependentChunkBytes,
-		DedupRatio:            st.DedupRatio,
-		CrossJobDedupRatio:    st.CrossJobDedupRatio,
-		Repairs:               st.Repairs,
-		BackendsDown:          st.BackendsDown,
-		ScrubPasses:           st.ScrubPasses,
-		SyncCopies:            st.SyncCopies,
-		HealsDetected:         st.HealsDetected,
-		ScrubFindings:         st.ScrubFindings,
-		SyncOwed:              st.SyncOwed,
-		CadenceStretch:        st.CadenceStretch,
-		ShardBalance:          st.ShardBalance,
-	}
-	if st.ReadTier != nil {
-		rs := readTierStatsFrom(*st.ReadTier)
-		out.ReadTier = &rs
-	}
-	for _, ss := range st.Shards {
-		out.Shards = append(out.Shards, FleetShardStats{
-			Name: ss.Name, Chunks: ss.Chunks, ChunkBytes: ss.ChunkBytes,
-			BackendsDown: ss.BackendsDown, Findings: ss.Findings,
-		})
-	}
-	for _, j := range st.Jobs {
-		out.Jobs = append(out.Jobs, FleetJobStats{
-			ID: j.ID, Parent: j.Parent, Registered: j.Registered,
-			Rounds:       j.Rounds,
-			LogicalBytes: j.LogicalBytes, ChunkBytes: j.ChunkBytes,
-			ExclusiveChunkBytes: j.ExclusiveChunkBytes,
-		})
-	}
-	return out, nil
-}
+func (f *Fleet) Stats() (FleetStats, error) { return f.svc.Stats() }
 
 // Scrub runs one scrub/repair pass synchronously: probe replica
 // health, run the owed anti-entropy Sync once a failed backend probes
@@ -408,23 +261,7 @@ func (f *Fleet) Stats() (FleetStats, error) {
 // of chunk contents (which doubles as a read-repair sweep on a
 // replicated store). StartScrubDaemon runs the same pass on an
 // interval in the background.
-func (f *Fleet) Scrub() (FleetScrubReport, error) {
-	rep, err := f.svc.Scrub()
-	out := FleetScrubReport{
-		Backends: rep.Backends, Down: rep.Down, Healed: rep.Healed,
-		SyncCopies: rep.SyncCopies,
-		Missing:    rep.Missing, Orphans: rep.Orphans,
-		ChunksVerified: rep.ChunksVerified, Corrupt: rep.Corrupt,
-	}
-	for _, ss := range rep.Shards {
-		out.Shards = append(out.Shards, FleetShardScrub{
-			Name: ss.Name, Backends: ss.Backends, Down: ss.Down,
-			Healed: ss.Healed, SyncCopies: ss.SyncCopies,
-			Missing: ss.Missing, Corrupt: ss.Corrupt,
-		})
-	}
-	return out, err
-}
+func (f *Fleet) Scrub() (FleetScrubReport, error) { return f.svc.Scrub() }
 
 // StartScrubDaemon starts the background scrub/repair goroutine.
 func (f *Fleet) StartScrubDaemon(interval time.Duration) error {

@@ -3,9 +3,9 @@
 // files) with go/parser + go/types — no dependencies outside the
 // standard library — and runs a registry of analyzers that
 // mechanically enforce contracts the storage stack otherwise states
-// only in comments: the copy-on-put contract, PutOwned ownership
-// transfer, the cas.Options.Guard RLock/Lock discipline, GetBuf/PutBuf
-// pairing, and the ban on raw wall-clock calls outside
+// only in comments: Put does not retain its input, Adopt is the one
+// hand-off that does, the cas.Options.Guard RLock/Lock discipline,
+// GetBuf/PutBuf pairing, and the ban on raw wall-clock calls outside
 // internal/simtime.
 //
 // Diagnostics are suppressible per site with a directive comment:

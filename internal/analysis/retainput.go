@@ -6,34 +6,26 @@ import (
 	"go/types"
 )
 
-// RetainPutAnalyzer enforces the stack's two slice-ownership
-// contracts around Put:
+// RetainPutAnalyzer enforces the two sides of slice ownership around
+// a store's write methods:
 //
-//  1. Copy-on-put (implementation side): a store method Put/PutOwned
-//     taking (key string, data []byte) must not retain the parameter
-//     slice — storing data (or a subslice of it) into a field, map,
-//     slice element, or channel without a copy lets the caller's later
-//     writes corrupt the store. Retention must go through a copy
-//     (append([]byte(nil), data...), storage.CopyBuf, copy into a
-//     fresh buffer).
+//  1. Put does not retain (storage.PersistStore's contract): a store
+//     method Put(key string, data []byte) must not store the parameter
+//     slice — data, or a subslice of it — into a field, map, slice
+//     element, composite literal or channel. What a store keeps, it
+//     copies (append([]byte(nil), data...), storage.CopyBuf, copy into a
+//     fresh buffer); the caller reuses its buffer the moment Put returns.
 //
-//  2. Ownership transfer (caller side): passing a buffer to PutOwned
-//     is the last thing a function does with it. The zero-copy
-//     pipeline's safety argument is that exactly one party touches the
-//     buffer after the call returns; callers that keep reading or
-//     reusing the argument in the same function blur that line, and a
-//     later backend swap (to one that consumes buffers asynchronously)
-//     turns the blur into corruption. Recycling via storage.PutBuf is
-//     the blessed hand-back; anything else needs //moc:allow.
-//
-// Adopt(key, buf) is the named reverse of contract 1: the store keeps
-// buf itself, zero-copy, so an Adopt implementation may retain its
-// input — and its callers are held to contract 2 without the PutBuf
-// exception, since the buffer now lives in the store.
+//  2. Adopt(key, buf) is the named hand-off that does retain: the store
+//     keeps buf itself, zero-copy, so an Adopt implementation may store
+//     its input — and passing a buffer to Adopt is the last thing a
+//     function does with it. No read, no write, no storage.PutBuf: the
+//     buffer now lives in the store. A hand-off inside a return statement
+//     exits at once and is not tracked; rebinding the variable ends it.
 var RetainPutAnalyzer = &Analyzer{
 	Name: "retainput",
 	Doc: "flags Put implementations that retain their input slice without a copy, and " +
-		"callers that reuse a buffer after handing it to PutOwned",
+		"callers that reuse a buffer after handing it to Adopt",
 	Run: runRetainPut,
 }
 
@@ -41,15 +33,15 @@ func runRetainPut(pass *Pass) {
 	for _, fb := range functionBodies(pass.Files) {
 		checkPutRetention(pass, fb)
 	}
-	checkPutOwnedCallers(pass)
+	checkAdoptCallers(pass)
 }
 
 // putDataParam returns the []byte data parameter object when fb is a
-// store's Put/PutOwned method: a method named Put or PutOwned with a
-// (string, []byte) parameter list.
+// store's Put method: a method named Put with a (string, []byte)
+// parameter list.
 func putDataParam(pass *Pass, fb funcBody) types.Object {
 	d := fb.decl
-	if d == nil || d.Recv == nil || (d.Name.Name != "Put" && d.Name.Name != "PutOwned") {
+	if d == nil || d.Recv == nil || d.Name.Name != "Put" {
 		return nil
 	}
 	params := d.Type.Params
@@ -100,9 +92,9 @@ func checkPutRetention(pass *Pass, fb funcBody) {
 	}
 	report := func(pos token.Pos, how string) {
 		pass.Reportf(pos,
-			"%s retains its input slice (%s): the copy-on-put contract requires storing a "+
-				"private copy (append([]byte(nil), %s...) or storage.CopyBuf) — the caller may "+
-				"reuse the buffer after Put returns",
+			"%s retains its input slice (%s): Put must not retain data after it returns "+
+				"(storage.PersistStore) — store a private copy (append([]byte(nil), %s...) or "+
+				"storage.CopyBuf); the caller reuses the buffer at once",
 			fb.name, how, param.Name())
 	}
 	// Retention via append(container, p): storing the slice header as
@@ -167,19 +159,12 @@ func checkPutRetention(pass *Pass, fb funcBody) {
 	})
 }
 
-// checkPutOwnedCallers flags functions that keep using a plain
-// variable after passing it to PutOwned or Adopt. A handoff inside a return
-// statement is the transfer-and-exit idiom (no reuse is reachable) and
-// is not tracked; PutNoRetain is deliberately exempt — its contract is
-// the reverse (the caller keeps ownership). Recycling the buffer with
-// storage.PutBuf afterwards is allowed after PutOwned — pool hand-back
-// is the documented final step of that ownership dance — but not after
-// Adopt, whose store still holds the buffer; rebinding the variable
-// ends either hand-off.
-func checkPutOwnedCallers(pass *Pass) {
+// checkAdoptCallers flags functions that keep using a plain variable
+// after passing it to Adopt (rule 2).
+func checkAdoptCallers(pass *Pass) {
 	info := pass.Info
 	for _, fb := range functionBodies(pass.Files) {
-		// Return-statement spans: a PutOwned inside one exits the
+		// Return-statement spans: an Adopt inside one exits the
 		// function immediately.
 		type span struct{ start, end token.Pos }
 		var retSpans []span
@@ -200,7 +185,6 @@ func checkPutOwnedCallers(pass *Pass) {
 		type handoff struct {
 			obj types.Object
 			pos token.Pos
-			to  string // "PutOwned" or "Adopt"
 		}
 		var handoffs []handoff
 		walkBody(fb.body, func(n ast.Node) bool {
@@ -208,13 +192,12 @@ func checkPutOwnedCallers(pass *Pass) {
 			if !ok {
 				return true
 			}
-			obj := calleeObject(info, call)
-			if obj == nil || obj.Name() != "PutOwned" && !isAdoptMethod(obj) || len(call.Args) != 2 || inReturn(call.Pos()) {
+			if !isAdoptMethod(calleeObject(info, call)) || len(call.Args) != 2 || inReturn(call.Pos()) {
 				return true
 			}
 			if id, ok := ast.Unparen(call.Args[1]).(*ast.Ident); ok {
 				if vobj := info.Uses[id]; vobj != nil {
-					handoffs = append(handoffs, handoff{obj: vobj, pos: call.End(), to: obj.Name()})
+					handoffs = append(handoffs, handoff{obj: vobj, pos: call.End()})
 				}
 			}
 			return true
@@ -253,49 +236,12 @@ func checkPutOwnedCallers(pass *Pass) {
 				if h.obj != vobj || id.Pos() <= h.pos {
 					continue
 				}
-				if h.to == "PutOwned" && insidePutBuf(pass, id) {
-					continue
-				}
 				pass.Reportf(id.Pos(),
-					"%s is reused after being handed to %s on line %d: ownership transferred — "+
-						"the store may still be using it; copy before the call or use Put",
-					id.Name, h.to, pass.Fset.Position(h.pos).Line)
+					"%s is reused after being handed to Adopt on line %d: ownership transferred — "+
+						"the store holds it; copy before the call or use Put",
+					id.Name, pass.Fset.Position(h.pos).Line)
 			}
 			return true
 		})
 	}
-}
-
-// insidePutBuf reports whether the ident is the argument of a
-// storage.PutBuf call — pool recycling after PutOwned is the blessed
-// final touch (safe because PutOwned backends must not retain).
-func insidePutBuf(pass *Pass, id *ast.Ident) bool {
-	// Walk outward is unavailable without parent links; instead match
-	// the enclosing file's PutBuf calls by position.
-	storagePath := pass.ModulePath + "/internal/storage"
-	for _, f := range pass.Files {
-		if f.Pos() <= id.Pos() && id.Pos() < f.End() {
-			found := false
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || found {
-					return !found
-				}
-				obj := calleeObject(pass.Info, call)
-				if !isPkgFunc(obj, storagePath, "PutBuf") &&
-					!(obj != nil && obj.Name() == "PutBuf" && obj.Pkg() == pass.Pkg && pass.Pkg.Path() == storagePath) {
-					return true
-				}
-				for _, a := range call.Args {
-					if ast.Unparen(a) == ast.Expr(id) {
-						found = true
-						return false
-					}
-				}
-				return true
-			})
-			return found
-		}
-	}
-	return false
 }

@@ -4,10 +4,10 @@ type pinnedStore struct {
 	blobs map[string][]byte
 }
 
-// Put pins the caller's slice on purpose — an adversarial fake like
-// the ones the storage tests use to prove callers copy.
+// Put pins the caller's slice on purpose — a fake that breaks the
+// contract to show a conformance test catches it.
 //
-//moc:allow retainput fixture: adversarial store that retains by design
+//moc:allow retainput fixture: store that retains by design
 func (s *pinnedStore) Put(key string, data []byte) error {
 	s.blobs[key] = data
 	return nil

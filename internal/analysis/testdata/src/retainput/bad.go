@@ -1,6 +1,6 @@
 // Package retainput holds golden fixtures for the slice-ownership
 // analyzer: Put implementations that retain their input and callers
-// that reuse a buffer after PutOwned are true positives.
+// that reuse a buffer after Adopt are true positives.
 package retainput
 
 import "moc/internal/storage"
@@ -11,30 +11,11 @@ type leakyStore struct {
 }
 
 // Put stores the caller's slice (and a subslice of it) without
-// copying — the copy-on-put contract violation.
+// copying — what storage.PersistStore's contract forbids.
 func (s *leakyStore) Put(key string, data []byte) error {
 	s.blobs[key] = data // want:retainput
 	s.last = data[1:]   // want:retainput
 	return nil
-}
-
-type ownedStore struct {
-	blobs map[string][]byte
-}
-
-// PutOwned takes ownership; this implementation copies, so only the
-// caller below is at fault.
-func (o *ownedStore) PutOwned(key string, data []byte) error {
-	o.blobs[key] = append([]byte(nil), data...)
-	return nil
-}
-
-// Reuse keeps reading the buffer after ownership transferred.
-func Reuse(o *ownedStore, buf []byte) byte {
-	if err := o.PutOwned("k", buf); err != nil {
-		return 0
-	}
-	return buf[0] // want:retainput
 }
 
 type slotStore struct {
@@ -56,7 +37,7 @@ func WriteAfterAdopt(s *slotStore, buf []byte) {
 }
 
 // RecycleAfterAdopt returns to the pool a buffer the store still holds:
-// the PutBuf that is blessed after PutOwned is a use-after-free here.
+// a use-after-free.
 func RecycleAfterAdopt(s *slotStore, data []byte) {
 	buf := storage.CopyBuf(data)
 	s.Adopt("k", buf)

@@ -13,30 +13,29 @@ func (s *copyStore) Put(key string, data []byte) error {
 }
 
 type sink struct {
-	blobs map[string][]byte
+	inner *copyStore
 }
 
-// PutOwned copies here too; the fixture keeps implementations honest
-// so only caller-side shapes are under test.
-func (s *sink) PutOwned(key string, data []byte) error {
-	s.blobs[key] = append([]byte(nil), data...)
-	return nil
+// Put forwards the caller's slice to another Put as it is: the inner
+// store is held to the same contract, so a wrapper does not copy.
+func (s *sink) Put(key string, data []byte) error {
+	return s.inner.Put(key, data)
 }
 
-// ForwardOwnership hands the buffer off as the function's final act —
-// the transfer-and-exit idiom is not reuse.
-func ForwardOwnership(s *sink, buf []byte) error {
-	return s.PutOwned("k", buf)
-}
-
-// RecycleAfterHandoff returns the buffer to the pool after the
-// transfer: PutOwned backends must not retain, so the hand-back is
-// the blessed final touch.
-func RecycleAfterHandoff(s *sink, n int) error {
+// RecycleAfterPut reuses and then pools its buffer after a Put: Put
+// did not retain it, so the buffer is the caller's again.
+func RecycleAfterPut(s *sink, n int) error {
 	buf := storage.GetBuf(n)
-	err := s.PutOwned("k", buf)
+	err := s.Put("k", buf)
+	buf[0] = 0
 	storage.PutBuf(buf)
 	return err
+}
+
+// AdoptAndExit hands the buffer over as the function's final act — the
+// transfer-and-exit idiom is not reuse.
+func AdoptAndExit(s *slotStore, buf []byte) []byte {
+	return s.Adopt("k", buf)
 }
 
 // AdoptFresh hands over a private copy and never looks at it again;

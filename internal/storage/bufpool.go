@@ -6,9 +6,9 @@ import (
 )
 
 // Size-classed buffer pool. Checkpoint traffic is dominated by
-// fixed-shape module payloads copied once per round (GPU→CPU snapshot
-// writes, copy-on-put chunk copies for backends outside the PutOwned
-// contract), so the same handful of sizes recycle round after round —
+// fixed-shape module payloads written once per round (the capture
+// buffers the snapshot level adopts, SnapshotStore.Put's copies), so the
+// same handful of sizes recycle round after round —
 // exactly the shape sync.Pool amortizes well. Buffers are grouped by
 // power-of-two capacity class so a returned buffer can serve any later
 // request that fits its class.

@@ -208,21 +208,6 @@ func (c *Store) Put(key string, data []byte) error {
 	return nil
 }
 
-// PutOwned implements storage.OwnedPutter: write-through without
-// retention. The inner write goes through PutNoRetain (the backend's
-// retention behavior is unknown) and the cache admission copies, so the
-// caller's buffer is never referenced after return.
-func (c *Store) PutOwned(key string, data []byte) error {
-	c.mu.Lock()
-	gen := c.delGen
-	c.mu.Unlock()
-	if err := storage.PutNoRetain(c.inner, key, data); err != nil {
-		return err
-	}
-	c.admit(key, data, gen)
-	return nil
-}
-
 // GetView implements storage.Viewer: hits return the cached slice
 // itself — no per-read copy, the win that makes warm recovery a pure
 // verify-and-reassemble pass. Cached slices are replaced on update,
@@ -373,6 +358,5 @@ func (c *Store) Drop() {
 
 var (
 	_ storage.PersistStore = (*Store)(nil)
-	_ storage.OwnedPutter  = (*Store)(nil)
 	_ storage.Viewer       = (*Store)(nil)
 )

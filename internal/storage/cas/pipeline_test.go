@@ -3,8 +3,8 @@ package cas
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"moc/internal/storage"
@@ -121,41 +121,44 @@ func TestUnchangedFastPathRevalidatesAfterGC(t *testing.T) {
 	}
 }
 
-// ownedSpy records which put entry point the store used and whether the
-// handed slices aliased the caller's buffers.
-type ownedSpy struct {
+// aliasSpy counts the Puts whose data is a sub-slice of blob starting on a
+// chunk boundary, and the others.
+type aliasSpy struct {
 	*storage.MemStore
+	blob      []byte
+	chunkSize int
 	mu        sync.Mutex
-	putOwned  int
-	putCopied int
+	aliased   int
+	other     int
 }
 
-func (o *ownedSpy) Put(key string, data []byte) error {
-	o.mu.Lock()
-	o.putCopied++
-	o.mu.Unlock()
-	return o.MemStore.Put(key, data)
+func (a *aliasSpy) Put(key string, data []byte) error {
+	aliases := false
+	for off := 0; off < len(a.blob) && len(data) > 0; off += a.chunkSize {
+		aliases = aliases || &data[0] == &a.blob[off]
+	}
+	a.mu.Lock()
+	if aliases {
+		a.aliased++
+	} else {
+		a.other++
+	}
+	a.mu.Unlock()
+	return a.MemStore.Put(key, data)
 }
 
-func (o *ownedSpy) PutOwned(key string, data []byte) error {
-	o.mu.Lock()
-	o.putOwned++
-	o.mu.Unlock()
-	return o.MemStore.Put(key, data)
-}
-
-// TestZeroCopyPutUsesOwnedPath: against an OwnedPutter backend every
-// chunk put goes through PutOwned, and the round survives the caller
-// scribbling over its buffers afterwards (the backend copied during the
-// call, as the contract requires).
-func TestZeroCopyPutUsesOwnedPath(t *testing.T) {
-	spy := &ownedSpy{MemStore: storage.NewMemStore()}
-	s, err := Open(spy, Options{ChunkSize: 1 << 10, Workers: 3})
+// TestWriteRoundPutsChunksWithoutCopying: the put stage has one path, and
+// on it every chunk reaches the backend as a slice of the caller's blob —
+// against any backend, since Put may not retain. The round survives the
+// caller scribbling over its buffer afterwards.
+func TestWriteRoundPutsChunksWithoutCopying(t *testing.T) {
+	buf := randBlob(t, 4, 8<<10)
+	want := append([]byte(nil), buf...)
+	spy := &aliasSpy{MemStore: storage.NewMemStore(), blob: buf, chunkSize: 1 << 10}
+	s, err := Open(spy, Options{ChunkSize: spy.chunkSize, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := randBlob(t, 4, 8<<10)
-	want := append([]byte(nil), buf...)
 	if _, err := s.WriteRound(0, map[string][]byte{"m": buf}); err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +166,13 @@ func TestZeroCopyPutUsesOwnedPath(t *testing.T) {
 		buf[i] = 0x55 // caller reuses its buffer after WriteRound returned
 	}
 	spy.mu.Lock()
-	putOwned, putCopied := spy.putOwned, spy.putCopied
+	aliased, other := spy.aliased, spy.other
 	spy.mu.Unlock()
-	if putOwned != 8 {
-		t.Fatalf("PutOwned called %d times, want 8 (one per chunk)", putOwned)
+	if aliased != 8 {
+		t.Fatalf("%d chunk puts aliased the caller's blob, want 8 (one per chunk)", aliased)
 	}
-	// The manifest commit is the only plain Put.
-	if putCopied != 1 {
-		t.Fatalf("plain Put called %d times, want 1 (the manifest)", putCopied)
+	if other != 1 {
+		t.Fatalf("%d puts of other bytes, want 1 (the manifest)", other)
 	}
 	got, err := s.ReadModule(0, "m")
 	if err != nil || !bytes.Equal(got, want) {
@@ -312,78 +314,38 @@ func TestDedupStatsUnchangedByPipeline(t *testing.T) {
 	}
 }
 
-// retainingViewStore retains slices and serves views of them — the
-// degenerate combination: PutOwned absent (so the store must copy) but
-// GetView present. It proves the read path's views and the write path's
-// copies are decided independently.
-type retainingViewStore struct {
-	mu    sync.Mutex
-	blobs map[string][]byte
+// viewCounter is a backend whose only optional capability is
+// storage.Viewer, counting the views it hands out.
+type viewCounter struct {
+	*storage.MemStore
+	views atomic.Int64
 }
 
-func (r *retainingViewStore) Put(key string, data []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.blobs[key] = data //moc:allow retainput adversarial fake: retains on purpose so tests prove callers copy
-	return nil
+func (v *viewCounter) GetView(key string) ([]byte, error) {
+	v.views.Add(1)
+	return v.MemStore.GetView(key)
 }
 
-func (r *retainingViewStore) Get(key string) ([]byte, error) {
-	b, err := r.GetView(key)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
-func (r *retainingViewStore) GetView(key string) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.blobs[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", storage.ErrNotFound, key)
-	}
-	return b, nil
-}
-
-func (r *retainingViewStore) Delete(key string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.blobs, key)
-	return nil
-}
-
-func (r *retainingViewStore) Keys(prefix string) ([]string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for k := range r.blobs {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	return out, nil
-}
-
-func TestViewerBackendWithoutOwnedPutter(t *testing.T) {
-	s, err := Open(&retainingViewStore{blobs: map[string][]byte{}}, Options{ChunkSize: 1 << 10, ReadWorkers: 3})
+// TestViewerBackendReadsArePrivate: the read path takes a Viewer's views
+// whatever else the backend offers, and what it returns is the reader's
+// own: scribbling on it must not reach the backend's chunks.
+func TestViewerBackendReadsArePrivate(t *testing.T) {
+	backend := &viewCounter{MemStore: storage.NewMemStore()}
+	s, err := Open(backend, Options{ChunkSize: 1 << 10, ReadWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := randBlob(t, 11, 6<<10)
-	want := append([]byte(nil), buf...)
-	if _, err := s.WriteRound(0, map[string][]byte{"m": buf}); err != nil {
+	want := randBlob(t, 11, 6<<10)
+	if _, err := s.WriteRound(0, map[string][]byte{"m": want}); err != nil {
 		t.Fatal(err)
-	}
-	for i := range buf {
-		buf[i] = 0xEE
 	}
 	got, err := s.ReadModule(0, "m")
 	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("retaining backend corrupted by caller reuse — the copy-on-put fallback failed: %v", err)
+		t.Fatalf("read back: %v", err)
 	}
-	// The returned payload must be private: scribbling on it must not
-	// corrupt the backend's retained chunks.
+	if backend.views.Load() != 6 {
+		t.Fatalf("read path took %d views, want 6 (one per chunk)", backend.views.Load())
+	}
 	for i := range got {
 		got[i] = 0x11
 	}

@@ -567,12 +567,10 @@ type putTask struct {
 // commits an empty manifest (the round marker for a writer whose
 // persist filter kept nothing).
 //
-// Copy-on-put contract: a backend is free to retain the slice its Put
-// receives, and the caller is free to reuse its buffers the moment
-// WriteRound returns. Backends implementing storage.OwnedPutter waive
-// the retention right, so the put stage hands them chunk slices
-// aliasing the caller's blobs directly — the zero-copy path; for plain
-// Put backends each chunk is defensively copied as before.
+// The put stage hands the backend chunk slices that alias the caller's
+// blobs — no copy: storage.PersistStore.Put may not retain them, and the
+// blobs outlive every put because WriteRound has not returned. The caller
+// is free to reuse its buffers the moment it does.
 func (s *Store) WriteRound(round int, modules map[string][]byte) (*Manifest, error) {
 	if round < 0 {
 		return nil, fmt.Errorf("cas: negative round %d", round)
@@ -615,7 +613,6 @@ func (s *Store) WriteRound(round int, modules map[string][]byte) (*Manifest, err
 
 	hashCh := make(chan hashTask, 4*s.opts.HashWorkers)
 	claims := newRoundClaims()
-	owned, _ := s.backend.(storage.OwnedPutter)
 
 	// Against a sharded backend the put fan-out is partitioned per
 	// shard: each shard gets its own queue and worker set, so a slow
@@ -668,16 +665,7 @@ func (s *Store) WriteRound(round int, modules map[string][]byte) (*Manifest, err
 						if failed.Load() {
 							continue
 						}
-						var err error
-						if owned != nil {
-							// Zero-copy: t.data aliases the caller's blob, which
-							// outlives this call — WriteRound has not returned —
-							// and the backend has waived retention.
-							err = owned.PutOwned(ChunkKey(t.hash), t.data)
-						} else {
-							err = s.backend.Put(ChunkKey(t.hash), append([]byte(nil), t.data...))
-						}
-						if err != nil {
+						if err := s.backend.Put(ChunkKey(t.hash), t.data); err != nil {
 							fail(fmt.Errorf("cas: put chunk %s: %w", t.hash, err))
 							continue
 						}

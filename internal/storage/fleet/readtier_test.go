@@ -9,6 +9,7 @@ import (
 	"moc/internal/storage"
 	"moc/internal/storage/cas"
 	"moc/internal/storage/readserve"
+	"moc/internal/storage/storagetest"
 )
 
 // chunkCounting counts backend Gets of chunk keys — the traffic the
@@ -155,5 +156,24 @@ func TestFleetWithoutReadTierHasNoTierStats(t *testing.T) {
 	}
 	if st.ReadTier != nil {
 		t.Fatalf("tier stats without a tier: %+v", st.ReadTier)
+	}
+}
+
+// A session's fenced backend forwards the caller's buffer as it got it:
+// chunk keys through the job's tier node when there is one, straight to
+// the shared backend otherwise.
+func TestSessionBackendPutDoesNotRetain(t *testing.T) {
+	for name, cfg := range map[string]Config{"read-tier": {ReadTier: &readserve.Config{}}, "bare": {}} {
+		t.Run(name, func(t *testing.T) {
+			svc, err := Open(storage.NewMemStore(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := svc.AcquireOrRegister("job", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			storagetest.CheckPutDoesNotRetain(t, sess.Backend())
+		})
 	}
 }

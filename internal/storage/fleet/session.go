@@ -151,19 +151,6 @@ func (f *fencedStore) Put(key string, data []byte) error {
 	return f.inner.Put(key, data)
 }
 
-// PutOwned implements storage.OwnedPutter, forwarding through
-// PutNoRetain so the caller's buffer is never retained regardless of
-// the inner backend's behavior.
-func (f *fencedStore) PutOwned(key string, data []byte) error {
-	if f.isManifest(key) {
-		return f.commitManifest(func() error { return storage.PutNoRetain(f.inner, key, data) })
-	}
-	if f.isChunk(key) {
-		return f.node.PutOwned(key, data)
-	}
-	return storage.PutNoRetain(f.inner, key, data)
-}
-
 // Get implements storage.PersistStore.
 func (f *fencedStore) Get(key string) ([]byte, error) {
 	if f.isChunk(key) {
@@ -217,7 +204,6 @@ func (f *fencedStore) Locate(key string) int {
 
 var (
 	_ storage.PersistStore = (*fencedStore)(nil)
-	_ storage.OwnedPutter  = (*fencedStore)(nil)
 	_ storage.Viewer       = (*fencedStore)(nil)
 	_ storage.Sharder      = (*fencedStore)(nil)
 )

@@ -13,6 +13,7 @@ import (
 	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/cas"
+	"moc/internal/storage/storagetest"
 )
 
 // countingStore counts backend Gets — the ground truth every hierarchy
@@ -686,4 +687,14 @@ func TestPoolSharingIsSafeUnderConcurrentReaders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// A node's write-through warms its L1 and the shared tier with copies; a
+// key below the admission threshold goes to the backend alone.
+func TestPutDoesNotRetain(t *testing.T) {
+	for name, cfg := range map[string]Config{"admit-on-miss": {}, "admit-hot-only": {AdmitMinHits: 100}} {
+		t.Run(name, func(t *testing.T) {
+			storagetest.CheckPutDoesNotRetain(t, mustNode(t, mustTier(t, storage.NewMemStore(), cfg)))
+		})
+	}
 }

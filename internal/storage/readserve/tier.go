@@ -139,9 +139,8 @@ func New(backend storage.PersistStore, cfg Config) (*Tier, error) {
 }
 
 // NewNode attaches a reader handle with a private L1. Nodes implement
-// the full store surface (PersistStore, OwnedPutter, Viewer, Sharder
-// passthrough), so a cas.Store — or a whole System — opens directly
-// over one.
+// the full store surface (PersistStore, Viewer, Sharder passthrough), so
+// a cas.Store — or a whole System — opens directly over one.
 func (t *Tier) NewNode() (*Node, error) {
 	l1, err := cache.NewOverViews(&sharedLevel{t: t}, t.cfg.L1Bytes)
 	if err != nil {
@@ -233,15 +232,9 @@ func (t *Tier) sharedGet(key string) ([]byte, error) {
 // sharedPut is the write half: write-through to the backend, warming
 // the L2 under the same admission policy as misses — a freshly
 // persisted base model's chunks are exactly what forks hydrate next.
-func (t *Tier) sharedPut(key string, data []byte, owned bool) error {
+func (t *Tier) sharedPut(key string, data []byte) error {
 	if t.admit(key) {
-		if owned {
-			return t.l2.PutOwned(key, data)
-		}
 		return t.l2.Put(key, data)
-	}
-	if owned {
-		return storage.PutNoRetain(t.backend, key, data)
 	}
 	return t.backend.Put(key, data)
 }
@@ -275,10 +268,6 @@ func (cb *countedBackend) Put(key string, data []byte) error {
 	return cb.t.backend.Put(key, data)
 }
 
-func (cb *countedBackend) PutOwned(key string, data []byte) error {
-	return storage.PutNoRetain(cb.t.backend, key, data)
-}
-
 func (cb *countedBackend) Delete(key string) error {
 	return cb.t.backend.Delete(key)
 }
@@ -302,11 +291,10 @@ func (s *sharedLevel) Get(key string) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
-func (s *sharedLevel) GetView(key string) ([]byte, error)  { return s.t.sharedGet(key) }
-func (s *sharedLevel) Put(key string, data []byte) error   { return s.t.sharedPut(key, data, false) }
-func (s *sharedLevel) PutOwned(key string, d []byte) error { return s.t.sharedPut(key, d, true) }
-func (s *sharedLevel) Delete(key string) error             { return s.t.sharedDelete(key) }
-func (s *sharedLevel) Keys(p string) ([]string, error)     { return s.t.backend.Keys(p) }
+func (s *sharedLevel) GetView(key string) ([]byte, error) { return s.t.sharedGet(key) }
+func (s *sharedLevel) Put(key string, data []byte) error  { return s.t.sharedPut(key, data) }
+func (s *sharedLevel) Delete(key string) error            { return s.t.sharedDelete(key) }
+func (s *sharedLevel) Keys(p string) ([]string, error)    { return s.t.backend.Keys(p) }
 
 // Node is one reader's handle on the tier: a private L1 over the shared
 // warm tier. Safe for concurrent use.
@@ -325,9 +313,6 @@ func (n *Node) GetView(key string) ([]byte, error) { return n.l1.GetView(key) }
 // Put implements storage.PersistStore: write-through to the backend,
 // warming this node's L1 and the shared tier per the admission policy.
 func (n *Node) Put(key string, data []byte) error { return n.l1.Put(key, data) }
-
-// PutOwned implements storage.OwnedPutter.
-func (n *Node) PutOwned(key string, data []byte) error { return n.l1.PutOwned(key, data) }
 
 // Delete implements storage.PersistStore, invalidating every node's L1
 // and the warm tier before the backend delete.
@@ -363,11 +348,8 @@ func (n *Node) Locate(key string) int {
 
 var (
 	_ storage.PersistStore = (*Node)(nil)
-	_ storage.OwnedPutter  = (*Node)(nil)
 	_ storage.Viewer       = (*Node)(nil)
 	_ storage.Sharder      = (*Node)(nil)
 	_ cache.ViewStore      = (*sharedLevel)(nil)
-	_ storage.OwnedPutter  = (*sharedLevel)(nil)
 	_ storage.PersistStore = (*countedBackend)(nil)
-	_ storage.OwnedPutter  = (*countedBackend)(nil)
 )

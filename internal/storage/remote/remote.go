@@ -365,34 +365,11 @@ func (s *Store) attempt(identity string, transfer int64, bps float64, counter *i
 // Put implements storage.PersistStore. Payloads of PartSize or more go
 // through the multipart path; smaller ones are a single request.
 func (s *Store) Put(key string, data []byte) error {
-	return s.put(key, data, false)
-}
-
-// PutOwned implements storage.OwnedPutter: identical cost and fault
-// semantics, but the payload is forwarded to the inner store without
-// retention (PutNoRetain), so the caller's buffer is free for reuse the
-// moment the call returns. An upload consumes its bytes on the wire; it
-// never needs to keep them.
-func (s *Store) PutOwned(key string, data []byte) error {
-	return s.put(key, data, true)
-}
-
-// innerPut forwards the assembled object to the backing store, copying
-// when the caller withheld retention and the inner store's behavior is
-// unknown.
-func (s *Store) innerPut(key string, data []byte, owned bool) error {
-	if owned {
-		return storage.PutNoRetain(s.cfg.Inner, key, data)
-	}
-	return s.cfg.Inner.Put(key, data)
-}
-
-func (s *Store) put(key string, data []byte, owned bool) error {
 	if s.cfg.PartSize > 0 && int64(len(data)) >= s.cfg.PartSize {
-		return s.multipartPut(key, data, owned)
+		return s.multipartPut(key, data)
 	}
 	spent, err := s.attempt(key, int64(len(data)), s.cfg.UploadBps, &s.metrics.BytesUploaded, func() error {
-		return s.innerPut(key, data, owned)
+		return s.cfg.Inner.Put(key, data)
 	})
 	if err != nil {
 		return fmt.Errorf("remote: put %s: %w", key, err)
@@ -408,7 +385,7 @@ func (s *Store) put(key string, data []byte, owned bool) error {
 // complete request that makes the assembled object visible atomically.
 // Any part (or the complete) exhausting its retries aborts the upload:
 // the object is never visible partially written.
-func (s *Store) multipartPut(key string, data []byte, owned bool) error {
+func (s *Store) multipartPut(key string, data []byte) error {
 	parts := splitParts(data, int(s.cfg.PartSize))
 	// Initiate request (no payload).
 	if _, err := s.attempt(key+"#initiate", 0, s.cfg.UploadBps, nil, func() error { return nil }); err != nil {
@@ -453,7 +430,7 @@ func (s *Store) multipartPut(key string, data []byte, owned bool) error {
 	}
 	// Complete request: the object becomes visible here, all at once.
 	_, err := s.attempt(key+"#complete", 0, s.cfg.UploadBps, nil, func() error {
-		return s.innerPut(key, data, owned)
+		return s.cfg.Inner.Put(key, data)
 	})
 	if err != nil {
 		s.noteAbort()
@@ -555,5 +532,4 @@ func (s *Store) Keys(prefix string) ([]string, error) {
 
 var (
 	_ storage.PersistStore = (*Store)(nil)
-	_ storage.OwnedPutter  = (*Store)(nil)
 )

@@ -9,6 +9,7 @@ import (
 
 	"moc/internal/storage"
 	"moc/internal/storage/cas"
+	"moc/internal/storage/storagetest"
 )
 
 func mustNew(t *testing.T, cfg Config) *Store {
@@ -386,5 +387,20 @@ func TestDegradedModeMultipliesCostMidRun(t *testing.T) {
 	}
 	if m.DegradedOps != 2 {
 		t.Fatalf("DegradedOps %d, want 2 (put + get during the window)", m.DegradedOps)
+	}
+}
+
+// An upload consumes its bytes on the wire: neither the single-request
+// nor the multipart path keeps the caller's buffer.
+func TestPutDoesNotRetain(t *testing.T) {
+	single := mustNew(t, Config{})
+	storagetest.CheckPutDoesNotRetain(t, single)
+	if m := single.Metrics(); m.PutOps != 2 || m.MultipartPuts != 0 {
+		t.Errorf("default PartSize: %+v, want 2 single-request puts", m)
+	}
+	multi := mustNew(t, Config{PartSize: 1 << 10})
+	storagetest.CheckPutDoesNotRetain(t, multi)
+	if m := multi.Metrics(); m.MultipartPuts != 2 {
+		t.Errorf("PartSize 1 KiB: %+v, want 2 multipart puts", m)
 	}
 }

@@ -296,28 +296,6 @@ func (r *Store) Put(key string, data []byte) error {
 	return nil
 }
 
-// PutOwned implements storage.OwnedPutter with Put's replication
-// semantics. Each backend is written through PutNoRetain, so the
-// caller's buffer is never retained regardless of what the individual
-// replicas do with theirs.
-func (r *Store) PutOwned(key string, data []byte) error {
-	var okCount int
-	var errs []string
-	for i := range r.backends {
-		err := r.access(i, func(b storage.PersistStore) error { return storage.PutNoRetain(b, key, data) })
-		r.note(i, err)
-		if err == nil {
-			okCount++
-		} else {
-			errs = append(errs, fmt.Sprintf("backend %d: %v", i, err))
-		}
-	}
-	if okCount == 0 {
-		return fmt.Errorf("replica: put %s failed on all backends: %s", key, strings.Join(errs, "; "))
-	}
-	return nil
-}
-
 // Get reads from the first healthy replica holding the key, in read
 // preference order (declaration order, with slow replicas demoted when
 // routing is enabled). A replica that is down or missed the write (it
@@ -623,15 +601,6 @@ func (f *Flaky) Put(key string, data []byte) error {
 	return f.inner.Put(key, data)
 }
 
-// PutOwned implements storage.OwnedPutter, forwarding without
-// retention.
-func (f *Flaky) PutOwned(key string, data []byte) error {
-	if f.down.Load() {
-		return ErrBackendDown
-	}
-	return storage.PutNoRetain(f.inner, key, data)
-}
-
 // Get implements PersistStore.
 func (f *Flaky) Get(key string) ([]byte, error) {
 	if f.down.Load() {
@@ -671,8 +640,6 @@ func (f *Flaky) Keys(prefix string) ([]string, error) {
 var (
 	_ storage.PersistStore = (*Store)(nil)
 	_ storage.PersistStore = (*Flaky)(nil)
-	_ storage.OwnedPutter  = (*Store)(nil)
-	_ storage.OwnedPutter  = (*Flaky)(nil)
 	_ storage.Viewer       = (*Store)(nil)
 	_ storage.Viewer       = (*Flaky)(nil)
 )

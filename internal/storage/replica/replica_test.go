@@ -9,6 +9,7 @@ import (
 
 	"moc/internal/simtime"
 	"moc/internal/storage"
+	"moc/internal/storage/storagetest"
 )
 
 func newPair(t *testing.T) (*Store, *storage.MemStore, *storage.MemStore) {
@@ -546,4 +547,11 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewWithOptions(Options{SlowFactor: -1}, storage.NewMemStore()); err == nil {
 		t.Fatal("negative SlowFactor accepted")
 	}
+}
+
+// Every replica copies for itself, and a Flaky forwards like any wrapper.
+func TestPutDoesNotRetain(t *testing.T) {
+	r, _, _ := newPair(t)
+	storagetest.CheckPutDoesNotRetain(t, r)
+	storagetest.CheckPutDoesNotRetain(t, NewFlaky(storage.NewMemStore()))
 }

@@ -38,7 +38,7 @@ type entry struct {
 
 // Router is a PersistStore spreading keys over N backend shards with a
 // consistent-hash ring. Reads, writes, deletes, and listings implement
-// the full store surface (Put/PutOwned/Get/GetView/Delete/Keys); Probe
+// the full store surface (Put/Get/GetView/Delete/Keys); Probe
 // and Health track per-shard liveness; AddShard/RemoveShard change
 // membership online, with Rebalance migrating the ~1/N of keys the ring
 // remapped while concurrent readers are served from either location.
@@ -213,16 +213,6 @@ func (r *Router) Put(key string, data []byte) error {
 	v := r.view()
 	i := v.locate(key)
 	err := v.entries[i].store.Put(key, data)
-	r.note(i, err)
-	return err
-}
-
-// PutOwned implements storage.OwnedPutter, forwarding to the key's
-// shard without granting retention.
-func (r *Router) PutOwned(key string, data []byte) error {
-	v := r.view()
-	i := v.locate(key)
-	err := storage.PutNoRetain(v.entries[i].store, key, data)
 	r.note(i, err)
 	return err
 }
@@ -546,7 +536,7 @@ func (r *Router) Rebalance() (RebalanceStats, error) {
 					r.note(i, err)
 					return st, fmt.Errorf("shard: rebalance: read %s from %s: %w", k, v.entries[i].name, err)
 				}
-				if err := storage.PutNoRetain(v.entries[dest].store, k, data); err != nil {
+				if err := v.entries[dest].store.Put(k, data); err != nil {
 					r.note(dest, err)
 					return st, fmt.Errorf("shard: rebalance: copy %s to %s: %w", k, v.entries[dest].name, err)
 				}
@@ -587,7 +577,6 @@ func (r *Router) Rebalance() (RebalanceStats, error) {
 
 var (
 	_ storage.PersistStore = (*Router)(nil)
-	_ storage.OwnedPutter  = (*Router)(nil)
 	_ storage.Viewer       = (*Router)(nil)
 	_ storage.Sharder      = (*Router)(nil)
 )

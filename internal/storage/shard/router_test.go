@@ -11,6 +11,7 @@ import (
 	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/replica"
+	"moc/internal/storage/storagetest"
 )
 
 func newTestRouter(t *testing.T, n int) (*Router, []*storage.MemStore) {
@@ -346,4 +347,9 @@ func TestRouterRebalanceTakesGuard(t *testing.T) {
 	if st.KeysExamined != 50 {
 		t.Fatalf("examined %d, want 50", st.KeysExamined)
 	}
+}
+
+func TestPutDoesNotRetain(t *testing.T) {
+	r, _ := newTestRouter(t, 3)
+	storagetest.CheckPutDoesNotRetain(t, r)
 }

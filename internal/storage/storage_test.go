@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -535,56 +534,6 @@ func TestMemStoreGetView(t *testing.T) {
 	if _, err := m.GetView("absent"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetView(absent) = %v, want ErrNotFound", err)
 	}
-}
-
-// retentionProbe records whether Put or PutOwned was used.
-type retentionProbe struct {
-	*MemStore
-	owned bool
-}
-
-func (r *retentionProbe) PutOwned(key string, data []byte) error {
-	r.owned = true
-	return r.MemStore.Put(key, data)
-}
-
-func TestPutNoRetain(t *testing.T) {
-	// Against an OwnedPutter: forwards without copying.
-	probe := &retentionProbe{MemStore: NewMemStore()}
-	if err := PutNoRetain(probe, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if !probe.owned {
-		t.Fatal("PutNoRetain ignored the backend's PutOwned")
-	}
-	// Against a plain retaining store: the caller's buffer must not be
-	// the one retained.
-	plain := &sliceRetainer{blobs: map[string][]byte{}}
-	buf := []byte("caller-buffer")
-	if err := PutNoRetain(plain, "k", buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 'X'
-	if string(plain.blobs["k"]) != "caller-buffer" {
-		t.Fatalf("retaining backend holds the caller's buffer: %q", plain.blobs["k"])
-	}
-}
-
-type sliceRetainer struct{ blobs map[string][]byte }
-
-//moc:allow retainput adversarial fake: retains on purpose so tests prove callers copy
-func (s *sliceRetainer) Put(key string, data []byte) error { s.blobs[key] = data; return nil }
-func (s *sliceRetainer) Get(key string) ([]byte, error)    { return s.blobs[key], nil }
-func (s *sliceRetainer) Delete(key string) error           { delete(s.blobs, key); return nil }
-func (s *sliceRetainer) Keys(prefix string) ([]string, error) {
-	var out []string
-	for k := range s.blobs {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // codecGolden is what the map encoder this repository shipped before the

@@ -19,8 +19,8 @@ import (
 // it. Gets outside the prefix, and gated Gets beyond the armed total,
 // pass straight through.
 //
-// Gate deliberately implements neither storage.Viewer nor
-// storage.OwnedPutter, so every read goes through Get.
+// Gate deliberately does not implement storage.Viewer, so every read
+// goes through Get.
 type Gate struct {
 	storage.PersistStore
 	prefix string

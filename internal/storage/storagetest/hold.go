@@ -8,11 +8,11 @@ import (
 )
 
 // PutHold wraps a backend whose writes under one key prefix can be held
-// back: between Hold and Release every such Put and PutOwned blocks before
-// it reaches the backend. It implements storage.OwnedPutter, so a
-// pipelined writer hands it slices aliasing its caller's buffers, and a
-// held write reads them only after Release — a buffer recycled while its
-// round was still being written shows up as wrong bytes in the store.
+// back: between Hold and Release every such Put blocks before it reaches
+// the backend. A pipelined writer hands it slices aliasing its caller's
+// buffers, and a held write reads them only after Release — a buffer
+// recycled while its round was still being written shows up as wrong
+// bytes in the store.
 type PutHold struct {
 	storage.PersistStore
 	prefix string
@@ -72,10 +72,4 @@ func (h *PutHold) pass(key string) {
 func (h *PutHold) Put(key string, data []byte) error {
 	h.pass(key)
 	return h.PersistStore.Put(key, data)
-}
-
-// PutOwned implements storage.OwnedPutter.
-func (h *PutHold) PutOwned(key string, data []byte) error {
-	h.pass(key)
-	return storage.PutNoRetain(h.PersistStore, key, data)
 }

@@ -16,6 +16,14 @@ var ErrNotFound = fmt.Errorf("storage: key not found")
 
 // PersistStore is the persistent-checkpoint interface: a durable key-value
 // blob store standing in for the cluster's distributed filesystem.
+//
+// Put has the io.Writer contract: it must not retain data after it
+// returns — it consumes the bytes during the call or copies what it keeps
+// — and the caller may reuse the buffer at once. The checkpoint path
+// relies on it: one pooled buffer goes from capture through every tier
+// without a copy, and a wrapper forwards data to its inner store's Put
+// as-is. The one hand-off that does retain is named differently
+// (SnapshotStore.Adopt). mocvet's retainput analyzer enforces both.
 type PersistStore interface {
 	Put(key string, data []byte) error
 	Get(key string) ([]byte, error)
@@ -24,22 +32,18 @@ type PersistStore interface {
 	Keys(prefix string) ([]string, error)
 }
 
-// OwnedPutter is an optional PersistStore extension for zero-copy
-// writes. PutOwned is Put minus the backend's right to retain the
-// slice: the caller keeps ownership of data and may reuse it the moment
-// the call returns, so the backend must either consume the bytes during
-// the call (write them to a file, charge a cost model) or copy them
-// before returning. Callers that would otherwise defensively copy every
-// payload (the content-addressed store's copy-on-put path) probe for
-// this interface and hand their buffers over directly.
+// OwnedPutter named a second write method from before Put promised not to
+// retain. Nothing in the tree implements or probes for it.
 //
-// Wrapper stores forwarding to an arbitrary inner backend must use
-// PutNoRetain (or copy themselves) — forwarding an owned slice to a
-// plain Put would re-grant the retention right the caller relied on
-// having withheld.
+// Deprecated: use PersistStore; bench/span.go still names this type.
 type OwnedPutter interface {
 	PutOwned(key string, data []byte) error
 }
+
+// PutNoRetain is s.Put.
+//
+// Deprecated: call Put; bench/span.go still calls this function.
+func PutNoRetain(s PersistStore, key string, data []byte) error { return s.Put(key, data) }
 
 // Viewer is an optional PersistStore extension for zero-copy reads.
 // GetView returns the stored bytes without the defensive copy Get makes.
@@ -61,17 +65,6 @@ type Viewer interface {
 type Sharder interface {
 	ShardCount() int
 	Locate(key string) int
-}
-
-// PutNoRetain writes data to s without granting it retention: through
-// PutOwned when s supports it, otherwise through Put with a private
-// copy. It is the bridge wrapper stores use to forward owned buffers to
-// an inner backend of unknown retention behavior.
-func PutNoRetain(s PersistStore, key string, data []byte) error {
-	if op, ok := s.(OwnedPutter); ok {
-		return op.PutOwned(key, data)
-	}
-	return s.Put(key, append([]byte(nil), data...))
 }
 
 // SnapshotStore is a CPU-memory key-value store holding in-memory
@@ -236,13 +229,6 @@ func (m *MemStore) Put(key string, data []byte) error {
 	return nil
 }
 
-// PutOwned implements OwnedPutter. MemStore retains blobs in its map,
-// so it honors the no-retention contract the same way Put does — by
-// storing a private copy — sparing the caller its defensive copy.
-func (m *MemStore) PutOwned(key string, data []byte) error {
-	return m.Put(key, data)
-}
-
 // Get implements PersistStore.
 func (m *MemStore) Get(key string) ([]byte, error) {
 	m.mu.RLock()
@@ -358,13 +344,6 @@ func (f *FSStore) Put(key string, data []byte) error {
 	return nil
 }
 
-// PutOwned implements OwnedPutter: Put already consumes the payload
-// during the call (it is written to the temp file before return) and
-// retains nothing, so the zero-copy path is simply Put.
-func (f *FSStore) PutOwned(key string, data []byte) error {
-	return f.Put(key, data)
-}
-
 // Get implements PersistStore.
 func (f *FSStore) Get(key string) ([]byte, error) {
 	p, err := f.path(key)
@@ -422,7 +401,5 @@ func (f *FSStore) Keys(prefix string) ([]string, error) {
 var (
 	_ PersistStore = (*MemStore)(nil)
 	_ PersistStore = (*FSStore)(nil)
-	_ OwnedPutter  = (*MemStore)(nil)
-	_ OwnedPutter  = (*FSStore)(nil)
 	_ Viewer       = (*MemStore)(nil)
 )

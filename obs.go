@@ -47,25 +47,14 @@ type ObsConfig struct {
 // recorded so far.
 func (c ObsConfig) apply() {
 	if c.Enable && !obs.Enabled() {
-		ring := c.RingSize
-		if ring <= 0 {
-			ring = obs.DefaultRingSize
-		}
-		obs.Enable(ring)
+		obs.Enable(c.RingSize)
 	}
 }
 
 // EnableObs turns on process-wide span tracing. Components constructed
 // after this call also register their stat gauges with the metrics
 // registry. A zero config uses the default ring size.
-func EnableObs(cfg ObsConfig) {
-	cfg.Enable = true
-	ring := cfg.RingSize
-	if ring <= 0 {
-		ring = obs.DefaultRingSize
-	}
-	obs.Enable(ring)
-}
+func EnableObs(cfg ObsConfig) { obs.Enable(cfg.RingSize) }
 
 // DisableObs turns span tracing back off, discarding the current ring.
 // Metrics counters and histograms keep accumulating.
@@ -189,12 +178,8 @@ func RunTraceProbe(cfg TraceProbeConfig) (TraceProbeReport, error) {
 	if cfg.FaultStart == 0 && cfg.FaultEnd == 0 && cfg.Rounds >= 2 {
 		cfg.FaultStart, cfg.FaultEnd = 1, 2
 	}
-	ring := cfg.RingSize
-	if ring <= 0 {
-		ring = obs.DefaultRingSize
-	}
 	wasEnabled := obs.Enabled()
-	obs.Enable(ring)
+	obs.Enable(cfg.RingSize)
 	if !wasEnabled {
 		defer obs.Disable()
 	}

@@ -11,73 +11,19 @@ package moc
 import (
 	"sort"
 
-	"moc/internal/storage"
 	"moc/internal/storage/cas"
 	"moc/internal/storage/readserve"
 )
 
-// ReadTierConfig tunes a ReadTier.
-type ReadTierConfig struct {
-	// L1Bytes bounds each node's private cache (default 16 MiB).
-	L1Bytes int64
-	// L2Bytes bounds the shared warm tier (default 256 MiB).
-	L2Bytes int64
-	// AdmitMinHits is the warm-tier admission policy: a chunk enters the
-	// shared L2 once it has been requested this many times. <= 1 admits
-	// every miss (the default — right when readers hydrate whole
-	// models); higher values admit only repeatedly requested chunks, so
-	// one-off scans cannot flush genuinely hot chunks.
-	AdmitMinHits int
-}
-
-func (c ReadTierConfig) toInternal() readserve.Config {
-	return readserve.Config{L1Bytes: c.L1Bytes, L2Bytes: c.L2Bytes, AdmitMinHits: c.AdmitMinHits}
-}
+// ReadTierConfig tunes a ReadTier: the per-node L1 and shared L2 bounds
+// and the warm-tier admission policy (AdmitMinHits <= 1 admits every
+// miss — right when readers hydrate whole models; higher values admit
+// only repeatedly requested chunks, so one-off scans cannot flush
+// genuinely hot ones).
+type ReadTierConfig = readserve.Config
 
 // ReadTierStats counts tier activity since construction.
-type ReadTierStats struct {
-	// L1Hits/L1Misses/L1Coalesced aggregate every node's private cache;
-	// coalesced reads attached to another same-node reader's in-flight
-	// fill instead of issuing their own.
-	L1Hits, L1Misses, L1Coalesced int64
-	// L2Hits/L2Misses count shared-tier residency checks after an L1
-	// miss; L2Coalesced counts readers across all nodes that attached to
-	// an in-flight backend fetch.
-	L2Hits, L2Misses, L2Coalesced int64
-	// BackendGets is the ground truth: fetches that escaped both cache
-	// levels and every coalescing layer.
-	BackendGets int64
-	// Promotions counts L1 misses served from the warm tier without a
-	// backend get; ColdFetches backend reads for chunks still below the
-	// admission threshold.
-	Promotions  int64
-	ColdFetches int64
-	// Nodes is the number of attached reader handles.
-	Nodes int
-}
-
-// L1HitRatio is L1Hits / (L1Hits + L1Misses), 0 when untouched.
-func (s ReadTierStats) L1HitRatio() float64 { return hitRatio(s.L1Hits, s.L1Misses) }
-
-// L2HitRatio is L2Hits / (L2Hits + L2Misses), 0 when untouched.
-func (s ReadTierStats) L2HitRatio() float64 { return hitRatio(s.L2Hits, s.L2Misses) }
-
-func hitRatio(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
-func readTierStatsFrom(st readserve.Stats) ReadTierStats {
-	return ReadTierStats{
-		L1Hits: st.L1Hits, L1Misses: st.L1Misses, L1Coalesced: st.L1Coalesced,
-		L2Hits: st.L2Hits, L2Misses: st.L2Misses, L2Coalesced: st.L2Coalesced,
-		BackendGets: st.BackendGets,
-		Promotions:  st.Promotions, ColdFetches: st.ColdFetches,
-		Nodes: st.Nodes,
-	}
-}
+type ReadTierStats = readserve.Stats
 
 // ReadTier is the standalone read-serving hierarchy over any
 // PersistStore backend (typically a remote store, possibly behind
@@ -95,8 +41,7 @@ type ReadTier struct {
 
 // NewReadTier builds a read-serving tier over a backend.
 func NewReadTier(backend PersistStore, cfg ReadTierConfig) (*ReadTier, error) {
-	var is storage.PersistStore = backend
-	t, err := readserve.New(is, cfg.toInternal())
+	t, err := readserve.New(backend, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -105,33 +50,22 @@ func NewReadTier(backend PersistStore, cfg ReadTierConfig) (*ReadTier, error) {
 
 // NewNode attaches a reader handle with a private L1 cache. The
 // returned store implements the full optional surface (zero-copy views,
-// owned puts, shard passthrough), so checkpoint stores and Systems open
-// directly over it.
-func (rt *ReadTier) NewNode() (PersistStore, error) {
-	n, err := rt.t.NewNode()
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
-}
+// shard passthrough), so checkpoint stores and Systems open directly
+// over it.
+func (rt *ReadTier) NewNode() (PersistStore, error) { return rt.t.NewNode() }
 
 // Stats aggregates the tier's counters across both levels and every
 // attached node.
-func (rt *ReadTier) Stats() ReadTierStats { return readTierStatsFrom(rt.t.Stats()) }
+func (rt *ReadTier) Stats() ReadTierStats { return rt.t.Stats() }
 
 // Drop empties both cache levels — every node's L1 and the shared warm
 // tier — without touching the backend. Call it after deleting chunks
 // below the tier (e.g. an out-of-band GC).
 func (rt *ReadTier) Drop() { rt.t.Drop() }
 
-// RestorePoolStats counts a pool's restore activity.
-type RestorePoolStats struct {
-	// Restores counts restore calls; Coalesced the subset served by
-	// another caller's identical in-flight restore; Shared the subset
-	// reads served whole from modules restored a moment earlier — so
-	// actual store reads are Restores − Coalesced − Shared.
-	Restores, Coalesced, Shared int64
-}
+// RestorePoolStats counts a pool's restore activity: actual store reads
+// are Restores − Coalesced − Shared.
+type RestorePoolStats = readserve.PoolStats
 
 // RestorePool is the many-reader restore front-end over a checkpoint
 // store: concurrent restores of the same round — or the same module
@@ -154,8 +88,7 @@ func NewRestorePool(backend PersistStore, tuning StoreTuning) (*RestorePool, err
 	if err != nil {
 		return nil, err
 	}
-	var is storage.PersistStore = backend
-	st, err := cas.Open(is, opts)
+	st, err := cas.Open(backend, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +141,4 @@ func (p *RestorePool) Refresh() error {
 }
 
 // Stats returns the pool's restore counters.
-func (p *RestorePool) Stats() RestorePoolStats {
-	st := p.pool.Stats()
-	return RestorePoolStats{Restores: st.Restores, Coalesced: st.Coalesced, Shared: st.Shared}
-}
+func (p *RestorePool) Stats() RestorePoolStats { return p.pool.Stats() }

@@ -9,10 +9,7 @@ package moc
 // that scales out AND survives backend loss, and remote shards
 // (NewRemoteStore) model independent object-store buckets.
 
-import (
-	"moc/internal/storage"
-	"moc/internal/storage/shard"
-)
+import "moc/internal/storage/shard"
 
 // ShardConfig describes a sharded store.
 type ShardConfig struct {
@@ -30,27 +27,10 @@ type ShardConfig struct {
 	VirtualNodes int
 }
 
-// ShardRebalanceStats describes one completed shard migration.
-type ShardRebalanceStats struct {
-	// KeysExamined counts key locations listed across all shards;
-	// KeysMoved were copied to their new shard and removed from the old
-	// (BytesMoved is their payload volume); KeysDeduped already existed
-	// at the new location and only had the stale source copy deleted.
-	KeysExamined int
-	KeysMoved    int
-	BytesMoved   int64
-	KeysDeduped  int
-}
-
-// MovedFraction is KeysMoved / KeysExamined — with consistent hashing
-// it stays near 1/N after growing to N shards, instead of the ~100%
-// a modulo placement would reshuffle.
-func (s ShardRebalanceStats) MovedFraction() float64 {
-	if s.KeysExamined == 0 {
-		return 0
-	}
-	return float64(s.KeysMoved) / float64(s.KeysExamined)
-}
+// ShardRebalanceStats describes one completed shard migration; its
+// MovedFraction stays near 1/N after growing to N shards, instead of the
+// ~100% a modulo placement would reshuffle.
+type ShardRebalanceStats = shard.RebalanceStats
 
 // ShardedStore is a PersistStore routing each key to one of N shards by
 // consistent hashing. Membership changes online in two steps: AddShard
@@ -84,43 +64,15 @@ type ShardedStore interface {
 	Migrating() bool
 }
 
-// shardAdapter re-types the two methods whose signatures mention
-// internal types; everything else promotes from the router (which is
-// how a Fleet over a ShardedStore still sees the per-shard scrub
-// surface).
-type shardAdapter struct{ *shard.Router }
-
-func (a shardAdapter) AddShard(name string, store PersistStore) error {
-	return a.Router.AddShard(name, store)
-}
-
-func (a shardAdapter) Rebalance() (ShardRebalanceStats, error) {
-	st, err := a.Router.Rebalance()
-	return ShardRebalanceStats{
-		KeysExamined: st.KeysExamined,
-		KeysMoved:    st.KeysMoved,
-		BytesMoved:   st.BytesMoved,
-		KeysDeduped:  st.KeysDeduped,
-	}, err
-}
-
 // NewShardedStore builds a consistent-hash sharded store over
 // cfg.Shards. Passing it to NewFleet enables the fleet's per-shard
 // scrub: each shard is probed independently, replicated shards get
 // per-shard repair, and FleetStats reports the per-shard chunk
 // distribution and balance factor.
 func NewShardedStore(cfg ShardConfig) (ShardedStore, error) {
-	inner := make([]storage.PersistStore, len(cfg.Shards))
-	for i, s := range cfg.Shards {
-		inner[i] = s
-	}
-	r, err := shard.New(shard.Config{
-		Stores:       inner,
+	return shard.New(shard.Config{
+		Stores:       cfg.Shards,
 		Names:        cfg.Names,
 		VirtualNodes: cfg.VirtualNodes,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return shardAdapter{r}, nil
 }

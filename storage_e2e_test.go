@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	moc "moc"
+	"moc/internal/storage/storagetest"
 )
 
 // pecConfig checkpoints with PEC (rounds persist rotating expert subsets).
@@ -338,5 +339,42 @@ func TestGCRemovesOnlyUnreferencedChunks(t *testing.T) {
 	}
 	if !lossesClose(lossBefore, lossAfter) {
 		t.Fatalf("recovery changed by gc: loss %v->%v", lossBefore, lossAfter)
+	}
+}
+
+// The benchmark's two layered stacks keep Put's contract end to end:
+// cold_recover's cache over a remote store, and fleet_mixed's shard
+// router over replicated pairs, bare and behind a read tier node.
+func TestPublicCompositionsDoNotRetainPuts(t *testing.T) {
+	remote, err := moc.NewRemoteStoreOver(moc.NewMemStore(), moc.RemoteConfig{MaxConcurrent: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := moc.NewCachedStore(remote, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]moc.PersistStore, 4)
+	for i := range shards {
+		if shards[i], err = moc.NewReplicatedStore(moc.NewMemStore(), moc.NewMemStore()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharded, err := moc.NewShardedStore(moc.ShardConfig{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, err := moc.NewReadTier(sharded, moc.ReadTierConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := tier.NewNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]moc.PersistStore{
+		"cold_recover": cached, "fleet_mixed": sharded, "fleet_mixed/read-tier": node,
+	} {
+		t.Run(name, func(t *testing.T) { storagetest.CheckPutDoesNotRetain(t, store) })
 	}
 }

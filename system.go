@@ -2,6 +2,7 @@ package moc
 
 import (
 	"fmt"
+	"strings"
 
 	"moc/internal/core"
 	"moc/internal/data"
@@ -16,13 +17,10 @@ import (
 
 // PersistStore is the durable checkpoint backend. The built-in
 // NewMemStore and NewFSStore constructors satisfy it; callers may supply
-// their own (e.g. an object-store adapter).
-type PersistStore interface {
-	Put(key string, data []byte) error
-	Get(key string) ([]byte, error)
-	Delete(key string) error
-	Keys(prefix string) ([]string, error)
-}
+// their own (e.g. an object-store adapter). A custom backend must copy
+// what it keeps: Put may not retain data after it returns, because the
+// checkpoint path reuses that buffer at once.
+type PersistStore = storage.PersistStore
 
 // NewMemStore returns an in-memory persistent store (checkpoints survive
 // faults but not process exit) — convenient for experiments.
@@ -60,17 +58,7 @@ type ReplicatedStore interface {
 }
 
 // ReplicaOptions tunes a replicated store's read routing.
-type ReplicaOptions struct {
-	// SlowFactor enables slow-backend read routing when > 1: a backend
-	// whose latency EWMA exceeds SlowFactor × the fastest replica's is
-	// demoted to the end of the read order (still tried last — a
-	// straggler holding the only copy must still serve it). 0 disables
-	// routing, keeping declaration-order reads.
-	SlowFactor float64
-	// EWMAAlpha weights the newest latency sample in the per-backend
-	// EWMA (default 0.3; must be in (0, 1]).
-	EWMAAlpha float64
-}
+type ReplicaOptions = replica.Options
 
 // NewReplicatedStore builds a replicating persistent store over the given
 // backends (at least one). Checkpoints survive the loss of all but one
@@ -83,14 +71,7 @@ func NewReplicatedStore(backends ...PersistStore) (ReplicatedStore, error) {
 // NewReplicatedStoreWithOptions is NewReplicatedStore with explicit
 // read-routing options (straggler demotion).
 func NewReplicatedStoreWithOptions(opts ReplicaOptions, backends ...PersistStore) (ReplicatedStore, error) {
-	inner := make([]storage.PersistStore, len(backends))
-	for i, b := range backends {
-		inner[i] = b
-	}
-	return replica.NewWithOptions(replica.Options{
-		SlowFactor: opts.SlowFactor,
-		EWMAAlpha:  opts.EWMAAlpha,
-	}, inner...)
+	return replica.NewWithOptions(opts, backends...)
 }
 
 // FlakyStore wraps a PersistStore with a kill switch for fault-injection
@@ -436,12 +417,11 @@ func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Ses
 		HashWorkers: cfg.HashWorkers,
 		ReadWorkers: cfg.RecoverWorkers,
 	}
-	var persist storage.PersistStore = store
 	if sess != nil {
-		persist = sess.Backend()
+		store = sess.Backend()
 		casOpts = sess.Options(casOpts)
 	}
-	agent, err := core.NewAgentWithOptions(storage.NewSnapshotStore(), persist, cfg.Buffers, casOpts)
+	agent, err := core.NewAgentWithOptions(storage.NewSnapshotStore(), store, cfg.Buffers, casOpts)
 	if err != nil {
 		if sess != nil {
 			sess.Release()
@@ -472,7 +452,7 @@ func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Ses
 		s.corpus = data.NewCorpus("pretrain", mc.VocabSize, data.PretrainDomain)
 	}
 	if cfg.DynamicK {
-		s.dynamic = core.NewDynamicK(cfg.Experts, maxInt(1, cfg.KPersist))
+		s.dynamic = core.NewDynamicK(cfg.Experts, max(1, cfg.KPersist))
 	}
 	if cfg.Resume {
 		latest := agent.LatestCompleteRound()
@@ -492,20 +472,6 @@ func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Ses
 		s.round = latest + 1
 	}
 	return s, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Model exposes shape information about the trained model.
@@ -619,7 +585,7 @@ func (s *System) checkpoint() error {
 			// Advance the window by the persist fan-out so the persist
 			// level (the window's first K_persist experts) rotates
 			// fairly through every expert.
-			snapSel = s.seq.SelectWithStride(s.round, s.kSnapshot, minInt(s.kPersist, s.kSnapshot))
+			snapSel = s.seq.SelectWithStride(s.round, s.kSnapshot, min(s.kPersist, s.kSnapshot))
 		}
 	}
 	persistSel = snapSel
@@ -685,10 +651,7 @@ func (s *System) RunTo(iteration int) (float64, error) {
 }
 
 // expertNode maps an expert module to its simulated node.
-func (s *System) expertNode(moeLayer, expert int) int {
-	_ = moeLayer
-	return expert % s.cfg.Nodes
-}
+func (s *System) expertNode(expert int) int { return expert % s.cfg.Nodes }
 
 // InjectFault simulates a node failure followed by recovery: in-flight
 // checkpoints complete, the failed node's in-memory snapshots are lost,
@@ -712,14 +675,9 @@ func (s *System) InjectFault() error {
 	var surviving func(module string) bool
 	if s.cfg.TwoLevelRecovery {
 		surviving = func(module string) bool {
-			name := module
-			if idx := len(name) - len("/w"); idx > 0 && name[idx:] == "/w" {
-				name = name[:idx]
-			} else if idx := len(name) - len("/opt"); idx > 0 && name[idx:] == "/opt" {
-				name = name[:idx]
-			}
-			if l, e, ok := s.model.IsExpertModule(name); ok {
-				return s.expertNode(l, e) != failed
+			name := strings.TrimSuffix(strings.TrimSuffix(module, "/w"), "/opt")
+			if _, e, ok := s.model.IsExpertModule(name); ok {
+				return s.expertNode(e) != failed
 			}
 			return true // non-expert state is replicated; some node survives
 		}
@@ -733,8 +691,8 @@ func (s *System) InjectFault() error {
 	}
 	var delta float64
 	if s.cfg.TwoLevelRecovery {
-		delta = s.plt.RecordFaultTwoLevel(func(l, e int) bool {
-			return s.expertNode(l, e) != failed
+		delta = s.plt.RecordFaultTwoLevel(func(_, e int) bool {
+			return s.expertNode(e) != failed
 		})
 	} else {
 		delta = s.plt.RecordFault()
