@@ -292,6 +292,52 @@ func BenchmarkCheckpointRound(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoveryResume times a process restart next to a first start on
+// the bench's pec_train shape over a MemStore: "fresh" builds a System from
+// its seed (every weight drawn), "resume" one from the store's newest
+// checkpoint (every weight read back, none drawn). The gap between the two
+// is what initialization costs, the share a restart no longer pays.
+func BenchmarkRecoveryResume(b *testing.B) {
+	cfg := moc.Config{
+		Layers: 3, Hidden: 64, Experts: 16, TopK: 2, BatchSize: 32, AuxLossCoeff: 0.01,
+		Interval: 4, KSnapshot: 4, KPersist: 2, TwoLevelRecovery: true, Seed: 1,
+	}
+	store := moc.NewMemStore()
+	s, err := moc.NewSystem(cfg, store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.RunTo(12); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	for _, resume := range []bool{false, true} {
+		name, target, builtAt := "fresh", moc.NewMemStore(), 0
+		if resume {
+			name, target, builtAt = "resume", store, 12
+		}
+		b.Run(name, func(b *testing.B) {
+			c := cfg
+			c.Resume = resume
+			for i := 0; i < b.N; i++ {
+				sys, err := moc.NewSystem(c, target)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if sys.Iteration() != builtAt {
+					b.Fatalf("built at iteration %d, want %d", sys.Iteration(), builtAt)
+				}
+				sys.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
+	}
+}
+
 func BenchmarkDedupRatio(b *testing.B) {
 	// Content-addressed dedup on the PEC round shape: checkpoint rounds
 	// of an unchanged model persist zero new chunk bytes. Reports the

@@ -33,6 +33,14 @@
 // it read-only with the round's persist job; it returns to the pool once
 // a newer round has replaced it and every write that may read it is done.
 //
+// Restart. A System built with Config.Resume (or by ForkOn/ForkOnFleet)
+// gets its model from recovered state, not from its seed: the store is
+// opened and recovered before a model exists, weights the recovery
+// supplies are never drawn, and the seed stream is advanced past their
+// draws without computing them, so the model — weights, optimizer state,
+// later gate noise — is bit for bit the one a full initialization followed
+// by a restore would give.
+//
 // Beyond the paper, the storage stack scales the checkpoint store to
 // production shapes: content-addressed dedup with fixed or
 // content-defined chunking, an LRU chunk cache, N-way replication with

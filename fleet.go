@@ -206,7 +206,7 @@ func (f *Fleet) NewSystemWith(cfg Config, jobID string, corpus *Corpus) (*System
 	if err != nil {
 		return nil, err
 	}
-	sys, err := newSystemOn(cfg, nil, corpus, sess)
+	sys, err := newSystemOn(cfg, nil, corpus, sess, nil)
 	if err != nil {
 		sess.Release()
 		return nil, err

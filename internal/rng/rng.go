@@ -133,6 +133,27 @@ func (r *RNG) Norm() float64 {
 	return radius * math.Cos(theta)
 }
 
+// SkipNorm leaves the generator exactly where n calls of Norm would —
+// the same Uint64 draws, including the redraws of a zero u, and the same
+// cached second Gaussian — without computing the variates it discards:
+// only an odd tail, whose second Gaussian stays pending, is drawn in full.
+// A model restored from a checkpoint uses it to pass over the
+// initialization draws of weights it never needed.
+func (r *RNG) SkipNorm(n int) {
+	if n > 0 && r.hasNorm {
+		r.hasNorm = false
+		n--
+	}
+	for ; n >= 2; n -= 2 {
+		for r.Float64() == 0 {
+		}
+		r.Uint64()
+	}
+	if n == 1 {
+		r.Norm()
+	}
+}
+
 // NormFloat32 returns a normal variate with the given mean and stddev as a
 // float32, convenient for weight initialization.
 func (r *RNG) NormFloat32(mean, std float64) float32 {

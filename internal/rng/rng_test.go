@@ -2,6 +2,7 @@ package rng
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -179,6 +180,67 @@ func TestNormFloat32Scale(t *testing.T) {
 	}
 }
 
+// sameStream fails unless a and b are in the same state — xoshiro words,
+// pending Gaussian — and go on to produce the same draws.
+func sameStream(t *testing.T, what string, a, b *RNG) {
+	t.Helper()
+	if a.s != b.s || a.hasNorm != b.hasNorm || a.hasNorm && a.gauss != b.gauss {
+		t.Fatalf("%s: state differs: %+v vs %+v", what, *a, *b)
+	}
+	for i := 0; i < 5; i++ {
+		if x, y := a.Norm(), b.Norm(); x != y {
+			t.Fatalf("%s: Norm %d after: %v vs %v", what, i, x, y)
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("%s: Uint64 %d after: %v vs %v", what, i, x, y)
+		}
+	}
+}
+
+func TestSkipNormMatchesNormCalls(t *testing.T) {
+	for _, pending := range []bool{false, true} {
+		for n := 0; n <= 9; n++ {
+			drawn, skipped := New(41), New(41)
+			if pending {
+				drawn.Norm()
+				skipped.Norm()
+			}
+			for i := 0; i < n; i++ {
+				drawn.Norm()
+			}
+			skipped.SkipNorm(n)
+			sameStream(t, fmt.Sprintf("pending=%v n=%d", pending, n), drawn, skipped)
+		}
+	}
+
+	// Two odd skips in a row: the first leaves a Gaussian pending, which
+	// the second must consume before it counts pairs.
+	drawn, skipped := New(43), New(43)
+	for i := 0; i < 3+5; i++ {
+		drawn.Norm()
+	}
+	skipped.SkipNorm(3)
+	skipped.SkipNorm(5)
+	sameStream(t, "skips of 3 and 5", drawn, skipped)
+}
+
+func TestSkipNormRedrawsAZeroUniform(t *testing.T) {
+	// With s[1] == 0 the next output is 0, the u Norm rejects and redraws;
+	// a skip that took it as u would fall one draw behind.
+	zeroFirst := RNG{s: [4]uint64{1, 0, 2, 3}}
+	if probe := zeroFirst; probe.Float64() != 0 {
+		t.Fatal("crafted state does not produce a zero uniform")
+	}
+	for _, n := range []int{1, 2, 5} {
+		drawn, skipped := zeroFirst, zeroFirst
+		for i := 0; i < n; i++ {
+			drawn.Norm()
+		}
+		skipped.SkipNorm(n)
+		sameStream(t, fmt.Sprintf("zero u, n=%d", n), &drawn, &skipped)
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -272,4 +334,9 @@ func TestZipfRejectsBadParameters(t *testing.T) {
 			NewZipf(New(1), tc.n, tc.s)
 		}()
 	}
+}
+
+func BenchmarkSkipNorm(b *testing.B) {
+	r := New(1)
+	r.SkipNorm(b.N)
 }

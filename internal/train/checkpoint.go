@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"moc/internal/core"
@@ -81,13 +82,21 @@ func (m *Model) splitKey(key string) (mod *module, weights, ok bool) {
 }
 
 // Restore applies recovered checkpoint state to the model. Modules absent
-// from the recovery keep their current (post-initialization) state — with
-// PEC this is exactly the stale-experts semantics, since recovery follows
-// initialization on a restarted job. Each blob is verified whole (checksum,
-// tensor names, lengths) and then decoded straight into the parameters; a
-// rejected blob leaves its module untouched. It returns the training
-// iteration recorded in the recovered metadata; the caller rewinds its
-// loop there.
+// from the recovery keep the state the model holds at the call: their
+// initialization when the model is being built (NewFrom, or New on a
+// restarted job), their latest trained values on a live model
+// (fault recovery) — with PEC both are exactly the stale-experts
+// semantics. Every key is resolved and the metadata checked before any
+// parameter is written; the blobs are then taken in sorted key order, each
+// verified whole (checksum, tensor names, lengths) and decoded straight
+// into its parameters. A rejected blob leaves its module and those after
+// it untouched, so of several bad blobs the one with the lowest key is
+// reported, on every run. The decode stays on the calling goroutine on
+// purpose: the blobs write disjoint parameters and could be decoded in
+// parallel, but that is faster only while the host lends a second core, and
+// fault recovery's time then flips between two values from run to run
+// (EXPERIMENTS.md, PR 19). It returns the training iteration recorded in
+// the recovered metadata; the caller rewinds its loop there.
 func (m *Model) Restore(rec map[string]core.RecoveredModule) (iteration int, err error) {
 	meta, ok := rec[metaKey]
 	if !ok {
@@ -97,30 +106,39 @@ func (m *Model) Restore(rec map[string]core.RecoveredModule) (iteration int, err
 	if err != nil {
 		return 0, fmt.Errorf("train: decode meta: %w", err)
 	}
-	for key, rm := range rec {
-		if key == metaKey {
-			continue
+	it, ok := metaT["iter"]
+	if !ok || len(it) != 1 {
+		return 0, fmt.Errorf("train: recovery meta lacks iteration")
+	}
+	keys := make([]string, 0, len(rec)-1)
+	for key := range rec {
+		if key != metaKey {
+			keys = append(keys, key)
 		}
+	}
+	sort.Strings(keys)
+	layouts := make([][]storage.Tensor, len(keys))
+	for i, key := range keys {
 		mod, weights, ok := m.splitKey(key)
 		if !ok {
 			return 0, fmt.Errorf("train: checkpoint key %q names no module state", key)
 		}
-		layout := mod.opt
+		layouts[i] = mod.opt
 		if weights {
-			layout = mod.weights
+			layouts[i] = mod.weights
 		}
-		if err := storage.DecodeTensorsInto(rm.Blob, layout); err != nil {
+	}
+
+	for i, key := range keys {
+		if err := storage.DecodeTensorsInto(rec[key].Blob, layouts[i]); err != nil {
 			return 0, fmt.Errorf("train: restore %q: %w", key, err)
 		}
 	}
 	if s, ok := metaT["step"]; ok && len(s) == 1 {
 		m.step = int(s[0])
 	}
-	if it, ok := metaT["iter"]; ok && len(it) == 1 {
-		m.iter = int(it[0])
-		return m.iter, nil
-	}
-	return 0, fmt.Errorf("train: recovery meta lacks iteration")
+	m.iter = int(it[0])
+	return m.iter, nil
 }
 
 // PersistFilter builds the keep-for-persist predicate implementing

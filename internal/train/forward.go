@@ -6,6 +6,7 @@ import (
 
 	"moc/internal/data"
 	"moc/internal/moe"
+	"moc/internal/rng"
 	"moc/internal/tensor"
 )
 
@@ -216,9 +217,9 @@ func (m *Model) process(examples []data.Example, train bool) (StepStats, error) 
 				CapacityFactor: m.cfg.CapacityFactor,
 				NoiseStd:       m.cfg.NoiseStd,
 			}
-			var noiseRng = m.r
-			if !train {
-				noiseRng = nil
+			var noiseRng *rng.RNG
+			if train && m.cfg.NoiseStd > 0 {
+				noiseRng = m.stream()
 			}
 			routing, err := moe.Route(rcfg, logits, noiseRng)
 			if err != nil {

@@ -20,6 +20,7 @@ import (
 	"math"
 	"sort"
 
+	"moc/internal/core"
 	"moc/internal/model"
 	"moc/internal/rng"
 	"moc/internal/storage"
@@ -75,22 +76,20 @@ type Param struct {
 	W    *tensor.Mat
 	G    *tensor.Mat
 	M, V *tensor.Mat
+	std  float64 // initialization stddev of W (0 = zeros)
 }
 
-func newParam(name string, rows, cols int, r *rng.RNG, std float64) *Param {
-	p := &Param{
+// newParam allocates a zeroed parameter; std > 0 marks its weights for
+// Gaussian initialization (initWeights).
+func newParam(name string, rows, cols int, std float64) *Param {
+	return &Param{
 		Name: name,
 		W:    tensor.NewMat(rows, cols),
 		G:    tensor.NewMat(rows, cols),
 		M:    tensor.NewMat(rows, cols),
 		V:    tensor.NewMat(rows, cols),
+		std:  std,
 	}
-	if std > 0 {
-		for i := range p.W.Data {
-			p.W.Data[i] = r.NormFloat32(0, std)
-		}
-	}
-	return p
 }
 
 type ffnParams struct {
@@ -143,12 +142,16 @@ func newModule(ps []*Param) *module {
 
 // Model is a trainable sparse-MoE language model.
 type Model struct {
-	cfg    Config
-	r      *rng.RNG
-	embed  *Param
-	blocks []*block
-	out    *Param
-	outB   *Param
+	cfg Config
+	// r is the seed stream shared by initialization and gate noise, and
+	// skipped the Norm draws it has yet to pass over; read it through
+	// stream.
+	r       *rng.RNG
+	skipped int
+	embed   *Param
+	blocks  []*block
+	out     *Param
+	outB    *Param
 
 	// modules maps checkpoint module names to their parameters and layout.
 	modules     map[string]*module
@@ -160,16 +163,77 @@ type Model struct {
 	iter int // training iteration (checkpoint bookkeeping)
 }
 
-// New builds and initializes a model.
+// New builds a model and initializes it from its seed.
 func New(cfg Config) (*Model, error) {
+	m, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.initWeights(nil)
+	return m, nil
+}
+
+// NewFrom builds a model holding recovered checkpoint state: what New(cfg)
+// followed by Restore(rec) gives, bit for bit — weights, optimizer state,
+// iteration and the position of the seed stream — except that only the
+// weights rec does not supply (experts a PEC recovery left out) are ever
+// drawn. A restart so costs what the checkpoint holds, not an
+// initialization the restore overwrites.
+func NewFrom(cfg Config, rec map[string]core.RecoveredModule) (*Model, error) {
+	m, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := m.Restore(rec); err != nil {
+		return nil, err
+	}
+	m.initWeights(rec)
+	return m, nil
+}
+
+// initWeights draws the Gaussian initialization in declaration order, the
+// order of the seed stream. Weights rec supplies are passed over: their
+// draws are only counted, and replayed without the arithmetic if the
+// stream is ever read again.
+func (m *Model) initWeights(rec map[string]core.RecoveredModule) {
+	for _, name := range m.moduleOrder {
+		_, restored := rec[name+weightSuffix]
+		for _, p := range m.modules[name].params {
+			switch {
+			case p.std == 0:
+			case restored:
+				m.skipped += len(p.W.Data)
+			default:
+				r := m.stream()
+				for i := range p.W.Data {
+					p.W.Data[i] = r.NormFloat32(0, p.std)
+				}
+			}
+		}
+	}
+}
+
+// stream returns the seed stream, first replaying the draws initWeights
+// passed over (rng.SkipNorm), so every later draw is the one a fully
+// initialized model would make. A model that never draws again — no gate
+// noise — never pays for the replay.
+func (m *Model) stream() *rng.RNG {
+	if m.skipped > 0 {
+		m.r.SkipNorm(m.skipped)
+		m.skipped = 0
+	}
+	return m.r
+}
+
+// build allocates the model's parameters, all zero, and its module table.
+func build(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	mc := cfg.Model
 	h := mc.HiddenSize
 	ff := mc.FFNMult * h
-	r := rng.New(cfg.Seed)
-	m := &Model{cfg: cfg, r: r, modules: make(map[string]*module)}
+	m := &Model{cfg: cfg, r: rng.New(cfg.Seed), modules: make(map[string]*module)}
 	std := 1.0 / math.Sqrt(float64(h))
 
 	reg := func(name string, ps ...*Param) *module {
@@ -179,29 +243,29 @@ func New(cfg Config) (*Model, error) {
 		return mod
 	}
 
-	m.embed = newParam("embed.token", mc.VocabSize, h, r, std)
+	m.embed = newParam("embed.token", mc.VocabSize, h, std)
 	reg("embed.token", m.embed)
 
 	newFFN := func(prefix string) *ffnParams {
 		return &ffnParams{
-			w1: newParam(prefix+".w1", ff, h, r, std),
-			b1: newParam(prefix+".b1", 1, ff, nil, 0),
-			w2: newParam(prefix+".w2", h, ff, r, 1.0/math.Sqrt(float64(ff))),
-			b2: newParam(prefix+".b2", 1, h, nil, 0),
+			w1: newParam(prefix+".w1", ff, h, std),
+			b1: newParam(prefix+".b1", 1, ff, 0),
+			w2: newParam(prefix+".w2", h, ff, 1.0/math.Sqrt(float64(ff))),
+			b2: newParam(prefix+".b2", 1, h, 0),
 		}
 	}
 
 	moeIdx := 0
 	for i := 0; i < mc.NumLayers; i++ {
 		b := &block{layer: i, moeIndex: -1}
-		b.attenW = newParam(fmt.Sprintf("layer%d.atten.w", i), h, h, r, std)
-		b.attenB = newParam(fmt.Sprintf("layer%d.atten.b", i), 1, h, nil, 0)
+		b.attenW = newParam(fmt.Sprintf("layer%d.atten.w", i), h, h, std)
+		b.attenB = newParam(fmt.Sprintf("layer%d.atten.b", i), 1, h, 0)
 		reg(fmt.Sprintf("layer%d.atten", i), b.attenW, b.attenB)
 		if mc.IsMoELayer(i) {
 			b.isMoE = true
 			b.moeIndex = moeIdx
 			m.moeLayers = append(m.moeLayers, i)
-			b.gate = newParam(fmt.Sprintf("layer%d.moe.gate", i), mc.NumExperts, h, r, std)
+			b.gate = newParam(fmt.Sprintf("layer%d.moe.gate", i), mc.NumExperts, h, std)
 			reg(fmt.Sprintf("layer%d.moe.gate", i), b.gate)
 			for e := 0; e < mc.NumExperts; e++ {
 				exp := newFFN(fmt.Sprintf("layer%d.moe.expert%d", i, e))
@@ -216,8 +280,8 @@ func New(cfg Config) (*Model, error) {
 		}
 		m.blocks = append(m.blocks, b)
 	}
-	m.out = newParam("head.out", mc.VocabSize, h, r, std)
-	m.outB = newParam("head.b", 1, mc.VocabSize, nil, 0)
+	m.out = newParam("head.out", mc.VocabSize, h, std)
+	m.outB = newParam("head.b", 1, mc.VocabSize, 0)
 	reg("head", m.out, m.outB)
 	return m, nil
 }

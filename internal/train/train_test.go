@@ -512,9 +512,9 @@ func TestCaptureIsByteIdenticalToTheMapEncoder(t *testing.T) {
 	r := rng.New(9)
 	var ps []*Param
 	for i := 0; i < 12; i++ {
-		p := newParam(fmt.Sprintf("synthetic.%d", i), 1+i%3, 2+i%2, r, 1)
+		p := newParam(fmt.Sprintf("synthetic.%d", i), 1+i%3, 2+i%2, 0)
 		for j := range p.M.Data {
-			p.M.Data[j], p.V.Data[j] = r.NormFloat32(0, 1), r.NormFloat32(0, 1)
+			p.W.Data[j], p.M.Data[j], p.V.Data[j] = r.NormFloat32(0, 1), r.NormFloat32(0, 1), r.NormFloat32(0, 1)
 		}
 		ps = append(ps, p)
 	}

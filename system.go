@@ -198,11 +198,15 @@ type Config struct {
 	// DynamicK doubles the PEC fan-out as faults accumulate to keep the
 	// PLT under the 3.75% threshold (§5.3).
 	DynamicK bool
-	// Resume restores the model from the store's latest complete
-	// checkpoint at construction — the process-restart workflow: a fresh
-	// process reopens the same PersistStore and continues where the
-	// previous incarnation's checkpoints left off. Construction fails if
-	// the store holds no complete checkpoint.
+	// Resume builds the model from the store's latest complete checkpoint
+	// — the process-restart workflow: a fresh process reopens the same
+	// PersistStore and continues where the previous incarnation's
+	// checkpoints left off. The store is opened and recovered first and
+	// the model built from what it returns, so a restart costs the
+	// checkpoint's read and decode and no random initialization; the
+	// result is bit for bit a freshly initialized model restored from that
+	// checkpoint, seed stream included. Construction fails, before a model
+	// is allocated, if the store holds no complete checkpoint.
 	Resume bool
 	// Chunking selects the checkpoint store's chunker (default
 	// ChunkingFixed; ChunkingCDC keeps dedup effective under insert/shift
@@ -362,19 +366,29 @@ func (c *Corpus) Name() string { return c.c.Name() }
 // NewSystemOn builds a System training on the provided corpus (nil = the
 // default pre-training corpus).
 func NewSystemOn(cfg Config, store PersistStore, corpus *Corpus) (*System, error) {
-	return newSystemOn(cfg, store, corpus, nil)
+	return newSystemOn(cfg, store, corpus, nil, nil)
 }
 
 // newSystemOn is the shared constructor. A non-nil fleet session
 // replaces the store with the session's fenced view of the fleet's
 // shared backend and scopes the checkpoint store to the job's writer
-// (sharing the fleet presence index and write guard).
-func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Session) (*System, error) {
+// (sharing the fleet presence index and write guard). The model is built
+// last and once: from forked (a parent's captured state, see forkInto),
+// from the store's latest checkpoint under cfg.Resume, else from its seed.
+func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Session, forked map[string]core.RecoveredModule) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.fillDefaults()
 	cfg.Obs.apply()
+	variant, err := cfg.Variant.toTrain()
+	if err != nil {
+		return nil, err
+	}
+	chunking, err := cfg.Chunking.toCAS()
+	if err != nil {
+		return nil, err
+	}
 	mc := model.TinyMoE(cfg.Layers, cfg.Hidden, cfg.Experts, cfg.TopK)
 	if cfg.Vocab > 0 {
 		mc.VocabSize = cfg.Vocab
@@ -399,16 +413,7 @@ func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Ses
 	if tcfg.LR == 0 {
 		tcfg.LR = 0.01
 	}
-	m, err := train.New(tcfg)
-	if err != nil {
-		return nil, err
-	}
-	variant, err := cfg.Variant.toTrain()
-	if err != nil {
-		return nil, err
-	}
-	chunking, err := cfg.Chunking.toCAS()
-	if err != nil {
+	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
 	casOpts := cas.Options{
@@ -435,12 +440,8 @@ func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Ses
 	}
 	s := &System{
 		cfg:       cfg,
-		model:     m,
 		agent:     agent,
 		sess:      sess,
-		plt:       core.NewPLTTracker(m.NumMoELayers(), cfg.Experts),
-		seq:       core.NewSequentialSelector(m.NumMoELayers(), cfg.Experts),
-		aware:     core.NewLoadAwareSelector(m.NumMoELayers(), cfg.Experts),
 		variant:   variant,
 		kSnapshot: cfg.KSnapshot,
 		kPersist:  cfg.KPersist,
@@ -454,23 +455,31 @@ func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Ses
 	if cfg.DynamicK {
 		s.dynamic = core.NewDynamicK(cfg.Experts, max(1, cfg.KPersist))
 	}
+	rec := forked
 	if cfg.Resume {
 		latest := agent.LatestCompleteRound()
 		if latest < 0 {
 			s.Close()
 			return nil, fmt.Errorf("moc: Resume requested but the store holds no complete checkpoint")
 		}
-		rec, err := agent.Recover(nil)
-		if err != nil {
+		if rec, err = agent.Recover(nil); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("moc: resume: %w", err)
 		}
-		if _, err := m.Restore(rec); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("moc: resume restore: %w", err)
-		}
 		s.round = latest + 1
 	}
+	if rec == nil {
+		s.model, err = train.New(tcfg)
+	} else if s.model, err = train.NewFrom(tcfg, rec); err != nil {
+		err = fmt.Errorf("moc: restore: %w", err)
+	}
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	s.plt = core.NewPLTTracker(s.model.NumMoELayers(), cfg.Experts)
+	s.seq = core.NewSequentialSelector(s.model.NumMoELayers(), cfg.Experts)
+	s.aware = core.NewLoadAwareSelector(s.model.NumMoELayers(), cfg.Experts)
 	return s, nil
 }
 
@@ -738,26 +747,18 @@ func (s *System) forkConfig(overrides Config) Config {
 }
 
 // forkInto builds the forked system over the given store (or fleet
-// session) and clones the parent's full model state into it.
+// session) from the parent's full model state.
 func (s *System) forkInto(corpus *Corpus, cfg Config, store PersistStore, sess *fleet.Session) (*System, error) {
-	ns, err := newSystemOn(cfg, store, corpus, sess)
-	if err != nil {
-		return nil, err
-	}
 	payload := s.model.Capture(nil, train.VariantFull())
 	rec := make(map[string]core.RecoveredModule, len(payload))
 	for k, b := range payload {
 		rec[k] = core.RecoveredModule{Blob: b}
 	}
-	_, err = ns.model.Restore(rec)
+	ns, err := newSystemOn(cfg, store, corpus, sess, rec)
 	for _, b := range payload {
 		storage.PutBuf(b)
 	}
-	if err != nil {
-		ns.Close()
-		return nil, fmt.Errorf("moc: fork: %w", err)
-	}
-	return ns, nil
+	return ns, err
 }
 
 // Evaluate returns loss and next-token accuracy on a held-out sample of

@@ -2,6 +2,8 @@ package moc_test
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	moc "moc"
@@ -438,6 +440,32 @@ func TestResumeRequiresCheckpoint(t *testing.T) {
 	cfg.Resume = true
 	if _, err := moc.NewSystem(cfg, moc.NewMemStore()); err == nil {
 		t.Fatal("resume from empty store accepted")
+	}
+}
+
+// TestConstructionFailsBeforeTheModelIsBuilt: an empty store under Resume
+// and a misspelt variant are both known before anything model-sized
+// exists, so neither may cost a model's allocation, let alone its
+// initialization. The shape below takes ~25 MB to build.
+func TestConstructionFailsBeforeTheModelIsBuilt(t *testing.T) {
+	big := moc.Config{Layers: 2, Hidden: 128, Experts: 12, TopK: 2, Seed: 1}
+	resume, misspelt := big, big
+	resume.Resume = true
+	misspelt.Variant = "OW"
+	for want, cfg := range map[string]moc.Config{
+		"Resume requested but the store holds no complete checkpoint": resume,
+		"unknown variant": misspelt,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := moc.NewSystem(cfg, moc.NewMemStore())
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %v, want %q", err, want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("%q cost %d MB of allocation: a model was built first", want, got>>20)
+		}
 	}
 }
 
