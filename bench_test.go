@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -336,6 +337,95 @@ func BenchmarkRecoveryResume(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 		})
 	}
+}
+
+// BenchmarkPersistUnderLatency times one persist round of 40 new chunks
+// against the bench's cold_recover endpoint (4 ms a request, 8 admitted at
+// once, really slept): at Workers 4 the round is ten waves of puts and the
+// commit, at the store default it offers more than the endpoint admits and
+// runs at the endpoint's width — five waves and the commit.
+func BenchmarkPersistUnderLatency(b *testing.B) {
+	const chunks, chunkSize = 40, 32 << 10
+	for _, workers := range []int{4, 0} {
+		name := "default"
+		if workers > 0 {
+			name = fmt.Sprintf("workers_%d", workers)
+		}
+		b.Run(name, func(b *testing.B) {
+			backend, err := remote.New(remote.Config{
+				LatencySeconds: 0.004, UploadBps: 1 << 30, DownloadBps: 1 << 30,
+				MaxConcurrent: 8, SleepScale: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			store, err := cas.Open(backend, cas.Options{ChunkSize: chunkSize, Workers: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			blob := uniqueBlob(77, chunks*chunkSize)
+			b.SetBytes(int64(len(blob)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for off := 0; off < len(blob); off += chunkSize {
+					binary.LittleEndian.PutUint64(blob[off:], uint64(i)) // every chunk new again
+				}
+				if _, err := store.WriteRound(i, map[string][]byte{"m": blob}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if puts := backend.Metrics().PutOps; puts != int64(b.N)*(chunks+1) {
+				b.Fatalf("%d puts over %d rounds, want %d a round", puts, b.N, chunks+1)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/round")
+		})
+	}
+}
+
+// BenchmarkRecoveryTwoLevel times System.InjectFault on the bench's
+// pec_train shape over a MemStore: the failed node's experts come back
+// from storage, every surviving module from the snapshot level — by
+// reference, so what a fault costs there is the decode, not a copy first.
+// B/op is the fault alone; MB/cycle adds the untimed checkpoint after it,
+// whose captures miss the pool once per lent buffer if InjectFault does not
+// end the loan (measured: 11.4 MB with ReleaseRecovered, 16.0 without,
+// 17.2 when the snapshot level was copied).
+func BenchmarkRecoveryTwoLevel(b *testing.B) {
+	s, err := moc.NewSystem(moc.Config{
+		Layers: 3, Hidden: 64, Experts: 16, TopK: 2, BatchSize: 32, AuxLossCoeff: 0.01,
+		Interval: 4, KSnapshot: 4, KPersist: 2, TwoLevelRecovery: true, Seed: 1,
+	}, moc.NewMemStore())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.RunTo(18); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.InjectFault(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if want := 16 + 4*i; s.Iteration() != want {
+			b.Fatalf("recovered to iteration %d, want %d", s.Iteration(), want)
+		}
+		// Across the next checkpoint and two steps on: its capture replaces
+		// the snapshot slots the recovery just read.
+		if _, err := s.RunTo(s.Iteration() + 6); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/fault")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/cycle")
 }
 
 func BenchmarkDedupRatio(b *testing.B) {

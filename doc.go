@@ -32,6 +32,16 @@
 // then to the agent, which adopts it into the snapshot store and shares
 // it read-only with the round's persist job; it returns to the pool once
 // a newer round has replaced it and every write that may read it is done.
+// A two-level recovery borrows the same buffers instead of copying them:
+// InjectFault restores surviving experts straight from the snapshot level
+// and ends the loan; the snapshot store remembers what it has lent, and
+// a buffer replaced while on loan is left to the garbage collector, never
+// pooled.
+//
+// Both directions of the persist level offer the backend the same width
+// by default (Config.PersistWorkers and RecoverWorkers, 16 requests in
+// flight, split per shard on a sharded backend); the backend's own
+// admission decides how many proceed.
 //
 // Restart. A System built with Config.Resume (or by ForkOn/ForkOnFleet)
 // gets its model from recovered state, not from its seed: the store is

@@ -351,6 +351,9 @@ func (a *Agent) LatestCompleteRound() int {
 
 // RecoveredModule is one module's restored state.
 type RecoveredModule struct {
+	// Blob is the module's serialized state, read-only. With FromSnapshot
+	// set it is the snapshot level's own buffer, on loan (see
+	// Agent.Recover); otherwise it is a private copy read from storage.
 	Blob []byte
 	// Round is the checkpoint round whose state was restored.
 	Round int
@@ -368,6 +371,15 @@ type RecoveredModule struct {
 // round last persisted it — form one read plan handed to the store in a
 // single ReadAcross call, which fetches and verifies every chunk of the
 // plan at the store's read width; Recover itself starts no goroutines.
+//
+// The snapshot level is served by reference: a FromSnapshot blob is the
+// snapshot store's buffer, lent read-only (storage.SnapshotStore.Lend), not
+// a copy. The loan needs no care to be safe — a lent buffer is never
+// recycled while the loan is open, whatever later rounds or FailNode do to
+// its slot, so the bytes stay intact for as long as the caller holds them —
+// but each lent buffer replaced meanwhile is one the next capture misses in
+// the pool, so a caller that has restored from the blobs (or given up) says
+// so with ReleaseRecovered and must not read them afterwards.
 func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]RecoveredModule, error) {
 	a.mu.Lock()
 	latest := -1
@@ -397,7 +409,7 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 	for k, persistedRound := range persisted {
 		if snapshotSurvives != nil && snapshotSurvives(k) {
 			if sr, ok := snapRound[k]; ok && sr >= persistedRound {
-				blob, err := a.snap.Get(k)
+				blob, err := a.snap.Lend(k)
 				if err == nil {
 					out[k] = RecoveredModule{Blob: blob, Round: sr, FromSnapshot: true}
 					continue
@@ -423,6 +435,14 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 		out[r.Module] = RecoveredModule{Blob: blobs[i], Round: r.Round}
 	}
 	return out, nil
+}
+
+// ReleaseRecovered ends the loan of every snapshot buffer Recover has
+// handed out: the caller is done reading them, and they go back to the
+// pool as usual once their slots are replaced. Recoveries overlapping in
+// time share the one loan; end it after the last.
+func (a *Agent) ReleaseRecovered() {
+	a.snap.EndLoans()
 }
 
 // FailNode simulates the node hosting this agent crashing: all in-memory

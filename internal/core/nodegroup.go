@@ -151,7 +151,9 @@ func (g *NodeGroup) LatestCompleteRound() int {
 // Recover assembles the freshest recoverable state across all nodes:
 // modules on surviving nodes recover from their node's snapshot when
 // fresher (two-level recovery); everything else reads back from the shared
-// persistent store. failed marks crashed nodes.
+// persistent store. failed marks crashed nodes. Snapshot-served blobs are
+// on loan from their node's agent (see Agent.Recover); the group leaves the
+// loans open, so the blobs stay valid for as long as the caller holds them.
 func (g *NodeGroup) Recover(failed map[int]bool) (map[string]RecoveredModule, error) {
 	out := map[string]RecoveredModule{}
 	for i, a := range g.agents {

@@ -236,3 +236,82 @@ func TestRetainSweepFailureNeverOverClaims(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainSweepSizesFromManifests: the sweep reads no payload to size a
+// chunk a manifest listed — the manifests it loaded already say — and
+// exactly one per orphan; BytesFreed is what left the backend.
+func TestRetainSweepSizesFromManifests(t *testing.T) {
+	mem := storage.NewMemStore()
+	counter := &chunkCounter{PersistStore: mem}
+	s, err := Open(counter, Options{ChunkSize: 64, Writer: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunkBytes := func() (n int64) {
+		keys, err := mem.Keys(ChunkPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			b, _ := mem.Get(k)
+			n += int64(len(b))
+		}
+		return n
+	}
+	// Round 0: 12 modules of 150 bytes (chunks of 64, 64 and 22). Round 1
+	// rewrites one; everything else of round 0 stays live through its entry.
+	for r := 0; r < 2; r++ {
+		mods := map[string][]byte{}
+		for i := 0; i < 12; i++ {
+			if r == 0 || i == 0 {
+				mods[fmt.Sprintf("m%02d", i)] = randBlob(t, uint64(100*r+i+1), 150)
+			}
+		}
+		if _, err := s.WriteRound(r, mods); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newest := func(round int, module string) bool { return round == 1 || module != "m00" }
+	before := chunkBytes()
+	counter.chunkGets.Store(0)
+	st, err := s.Retain(newest, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EntriesDropped != 1 || st.ChunksDeleted != 3 || st.BytesFreed != 150 {
+		t.Fatalf("retain removed %+v, want 1 entry, 3 chunks, 150 bytes", st)
+	}
+	if freed := before - chunkBytes(); freed != st.BytesFreed {
+		t.Fatalf("BytesFreed %d, backend lost %d", st.BytesFreed, freed)
+	}
+	if n := counter.chunkGets.Load(); n != 0 {
+		t.Fatalf("sweep of manifest-listed chunks cost %d chunk Gets, want 0", n)
+	}
+
+	// Two orphans no manifest ever listed, beside a whole dropped manifest
+	// (round 0 has no live entry left).
+	orphans := [][]byte{randBlob(t, 900, 31), randBlob(t, 901, 77)}
+	for _, o := range orphans {
+		if err := mem.Put(ChunkKey(HashBytes(o)), o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = chunkBytes()
+	counter.chunkGets.Store(0)
+	st, err = s.Retain(func(round int, _ string) bool { return round == 1 }, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ManifestsDeleted != 1 || st.ChunksDeleted != 11*3+2 || st.BytesFreed != 11*150+31+77 {
+		t.Fatalf("retain removed %+v, want 1 manifest, 35 chunks, %d bytes", st, 11*150+31+77)
+	}
+	if freed := before - chunkBytes(); freed != st.BytesFreed {
+		t.Fatalf("BytesFreed %d, backend lost %d", st.BytesFreed, freed)
+	}
+	if n := counter.chunkGets.Load(); n != int64(len(orphans)) {
+		t.Fatalf("sweep cost %d chunk Gets, want one per orphan (%d)", n, len(orphans))
+	}
+	if got, err := s.ReadModule(1, "m00"); err != nil || !bytes.Equal(got, randBlob(t, 101, 150)) {
+		t.Fatalf("surviving module unreadable: %v", err)
+	}
+}

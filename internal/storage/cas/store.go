@@ -34,9 +34,11 @@ type Options struct {
 	// ChunkSize/4 and ChunkSize*4). Ignored under ChunkingFixed.
 	MinChunkSize int
 	MaxChunkSize int
-	// Workers is the striped-writer fan-out: the put stage of the persist
-	// pipeline runs this many goroutines so a bandwidth-limited backend
-	// is driven in parallel (default 4).
+	// Workers is the striped-writer fan-out: the chunk Puts one WriteRound
+	// keeps in flight (default DefaultWorkers, the read side's width), split
+	// evenly over the shard queues of a sharded backend. It is what the
+	// round offers; how many proceed at once is the backend's own admission
+	// — a remote's MaxConcurrent, a MemStore's bandwidth debt.
 	Workers int
 	// HashWorkers is the chunk-hashing fan-out of the persist pipeline
 	// (default GOMAXPROCS, capped at 8). Hashing, dedup filtering, and
@@ -47,12 +49,12 @@ type Options struct {
 	// ReadWorkers bounds the backend requests one read-side call keeps in
 	// flight (default 16): the chunk Gets of a ReadModule, ReadModules,
 	// ReadRound or ReadAcross, the manifest Gets of Open, Refresh, Retain
-	// and Audit, and the size-then-delete pairs of a Retain sweep. Every
-	// such batch is one flat fan-out — a whole recovery is a single
-	// ReadAcross — so this is the peak concurrency a caller offers the
-	// backend per call; size it to the backend's connection budget. Fetch
-	// workers verify chunks against their addresses as they arrive, so
-	// verification overlaps backend latency too. 1 reads sequentially.
+	// and Audit, and the Deletes of a Retain sweep. Every such batch is
+	// one flat fan-out — a whole recovery is a single ReadAcross — so this
+	// is the peak concurrency a caller offers the backend per call; size it
+	// to the backend's connection budget. Fetch workers verify chunks
+	// against their addresses as they arrive, so verification overlaps
+	// backend latency too. 1 reads sequentially.
 	ReadWorkers int
 	// Writer distinguishes manifests from different agents sharing one
 	// backend. Defaults to an id unique across processes (sequence number
@@ -84,13 +86,13 @@ type Options struct {
 // DefaultChunkSize is the chunk length used when Options.ChunkSize is 0.
 const DefaultChunkSize = 64 << 10
 
-// DefaultWorkers is the striped-writer fan-out used when Options.Workers
-// is 0.
-const DefaultWorkers = 4
-
 // DefaultReadWorkers is the read-side fan-out used when
 // Options.ReadWorkers is 0.
 const DefaultReadWorkers = 16
+
+// DefaultWorkers is the striped-writer fan-out used when Options.Workers
+// is 0: a round offers the backend what a read offers it.
+const DefaultWorkers = DefaultReadWorkers
 
 // maxDefaultHashWorkers caps the GOMAXPROCS-derived hashing fan-out:
 // past a handful of cores the pipeline is put- or memory-bound, and a
@@ -553,6 +555,32 @@ type putTask struct {
 	data []byte
 }
 
+// stage starts width workers that drain ch through fn and exit when ch is
+// closed — the stream-shaped sibling of fanOut, and the one worker loop of
+// the write side: WriteRound's hash pool and each of its put pools are a
+// call. Once failed is set the workers keep receiving without calling fn,
+// so a sender upstream never blocks on a stage that has given up and the
+// pipeline always unwinds. Under a tracing span each worker records a child
+// span named name on its own lane, lane-w<i>.
+func stage[T any](sp *obs.Span, wg *sync.WaitGroup, failed *atomic.Bool, name, lane string, width int, ch <-chan T, fn func(T)) {
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wsp := sp.Child(name)
+			if wsp != nil {
+				wsp.Lane(lane + "-w" + strconv.Itoa(w))
+			}
+			defer wsp.End()
+			for t := range ch {
+				if !failed.Load() {
+					fn(t)
+				}
+			}
+		}(w)
+	}
+}
+
 // WriteRound persists one round's module payloads and commits them with
 // a manifest. It runs as a streaming pipeline: the caller splits
 // payloads and feeds chunks through a bounded channel to the hash
@@ -627,19 +655,16 @@ func (s *Store) WriteRound(round int, modules map[string][]byte) (*Manifest, err
 			sharder, shardCount = sh, n
 		}
 	}
-	putChs := make([]chan putTask, shardCount)
-	for i := range putChs {
-		putChs[i] = make(chan putTask, 4*s.opts.Workers)
-	}
 
-	// Worker stages, spawned lazily on the first chunk that actually
-	// needs hashing: a round whose modules all hit the unchanged-module
-	// memo (or an empty round) commits without creating a single
-	// goroutine or channel send.
+	// Worker stages and their queues, created lazily on the first chunk
+	// that actually needs hashing: a round whose modules all hit the
+	// unchanged-module memo (or an empty round) commits without creating
+	// a single goroutine, put queue or channel send.
 	var putMu sync.Mutex
 	putHashes := make([]Hash, 0, 64)
 	var putBytes int64
 	var putWG, hashWG sync.WaitGroup
+	var putChs []chan putTask
 	pipelineStarted := false
 	startPipeline := func() {
 		if pipelineStarted {
@@ -651,64 +676,38 @@ func (s *Store) WriteRound(round int, modules map[string][]byte) (*Manifest, err
 		// accepted. With a sharded backend the Workers budget is split
 		// across the per-shard queues (at least one worker each).
 		perShard := (s.opts.Workers + shardCount - 1) / shardCount
-		for qi, ch := range putChs {
-			for w := 0; w < perShard; w++ {
-				putWG.Add(1)
-				go func(putCh chan putTask, qi, w int) {
-					defer putWG.Done()
-					wsp := sp.Child("put")
-					if wsp != nil {
-						wsp.Lane("put-s" + strconv.Itoa(qi) + "-w" + strconv.Itoa(w))
-					}
-					defer wsp.End()
-					for t := range putCh {
-						if failed.Load() {
-							continue
-						}
-						if err := s.backend.Put(ChunkKey(t.hash), t.data); err != nil {
-							fail(fmt.Errorf("cas: put chunk %s: %w", t.hash, err))
-							continue
-						}
-						putMu.Lock()
-						putHashes = append(putHashes, t.hash)
-						putBytes += int64(len(t.data))
-						putMu.Unlock()
-					}
-				}(ch, qi, w)
-			}
+		putChs = make([]chan putTask, shardCount)
+		for qi := range putChs {
+			putChs[qi] = make(chan putTask, 4*s.opts.Workers)
+			stage(sp, &putWG, &failed, "put", "put-s"+strconv.Itoa(qi), perShard, putChs[qi], func(t putTask) {
+				if err := s.backend.Put(ChunkKey(t.hash), t.data); err != nil {
+					fail(fmt.Errorf("cas: put chunk %s: %w", t.hash, err))
+					return
+				}
+				putMu.Lock()
+				putHashes = append(putHashes, t.hash)
+				putBytes += int64(len(t.data))
+				putMu.Unlock()
+			})
 		}
 		// Hash stage: digest chunks, fill their manifest slots, and
 		// claim distinct new chunks for the put stage.
-		for w := 0; w < s.opts.HashWorkers; w++ {
-			hashWG.Add(1)
-			go func(w int) {
-				defer hashWG.Done()
-				wsp := sp.Child("hash")
-				if wsp != nil {
-					wsp.Lane("hash-w" + strconv.Itoa(w))
-				}
-				defer wsp.End()
-				for t := range hashCh {
-					if failed.Load() {
-						continue
-					}
-					for i, c := range t.chunks {
-						h := HashBytes(c)
-						t.slots[i].Hash = h
-						t.slots[i].Size = uint32(len(c))
-						if !s.present.Has(h) && claims.Claim(h) {
-							qi := 0
-							if sharder != nil {
-								if i := sharder.Locate(ChunkKey(h)); i >= 0 && i < shardCount {
-									qi = i
-								}
-							}
-							putChs[qi] <- putTask{hash: h, data: c}
+		stage(sp, &hashWG, &failed, "hash", "hash", s.opts.HashWorkers, hashCh, func(t hashTask) {
+			for i, c := range t.chunks {
+				h := HashBytes(c)
+				t.slots[i].Hash = h
+				t.slots[i].Size = uint32(len(c))
+				if !s.present.Has(h) && claims.Claim(h) {
+					qi := 0
+					if sharder != nil {
+						if i := sharder.Locate(ChunkKey(h)); i >= 0 && i < shardCount {
+							qi = i
 						}
 					}
+					putChs[qi] <- putTask{hash: h, data: c}
 				}
-			}(w)
-		}
+			}
+		})
 	}
 
 	// Feed stage (this goroutine): resolve unchanged modules against the
@@ -1162,11 +1161,19 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 		return st, err
 	}
 	surviving := make(map[int][]*Manifest)
+	// dropped records what the manifests say each chunk of a dropped entry
+	// weighs. Every chunk the sweep removes is either one of these or an
+	// orphan no manifest lists, so the sweep reads no payload to size it.
+	dropped := make(map[Hash]int64)
 	for _, m := range manifests {
 		kept := make([]ModuleEntry, 0, len(m.Modules))
 		for _, e := range m.Modules {
 			if live == nil || live(m.Round, m.Writer, e.Module) {
 				kept = append(kept, e)
+				continue
+			}
+			for _, c := range e.Chunks {
+				dropped[c.Hash] = int64(c.Size)
 			}
 		}
 		st.EntriesDropped += len(m.Modules) - len(kept)
@@ -1232,15 +1239,18 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 			present.Add(h)
 		}
 	}
-	// The sweep: each unreferenced chunk costs a sizing Get and a Delete,
-	// independent of every other chunk's, so they overlap up to the read
-	// width. A failure stops the sweep with the totals of what was removed.
+	// The sweep: each unreferenced chunk costs a Delete (an orphan a sizing
+	// Get first), independent of every other chunk's, so they overlap up to
+	// the read width. A failure stops the sweep with the totals of what was
+	// removed.
 	var deleted, freed atomic.Int64
 	err = fanOut(nil, "sweep", len(sweep), s.opts.ReadWorkers, func(i int) error {
 		h := sweep[i]
-		var size int64
-		if blob, err := s.backend.Get(ChunkKey(h)); err == nil {
-			size = int64(len(blob))
+		size, listed := dropped[h]
+		if !listed {
+			if blob, err := s.backend.Get(ChunkKey(h)); err == nil {
+				size = int64(len(blob))
+			}
 		}
 		// Drop the chunk from the dedup index BEFORE deleting it from the
 		// backend: if this Retain errors out mid-sweep, an overclaiming

@@ -14,8 +14,8 @@ import (
 type Calibration struct {
 	// PersistSeconds is the estimated wall-clock persist duration for
 	// one checkpoint round: measured op-seconds divided across the
-	// striped writer fan-out (parallel streams each get full per-stream
-	// bandwidth, matching the cost model).
+	// requests the endpoint serves at once (parallel streams each get
+	// full per-stream bandwidth, matching the cost model).
 	PersistSeconds float64
 	// OpSeconds is the raw simulated busy time the probe round charged.
 	OpSeconds float64
@@ -23,7 +23,9 @@ type Calibration struct {
 	// request count.
 	BytesUploaded int64
 	Ops           int64
-	// Workers is the fan-out PersistSeconds assumes.
+	// Workers is the concurrency PersistSeconds divides by: the striped
+	// writer fan-out the probe offered, or the endpoint's MaxConcurrent
+	// when that admits fewer.
 	Workers int
 }
 
@@ -63,6 +65,10 @@ func Calibrate(cfg Config, checkpointBytes int64, casOpts cas.Options) (Calibrat
 	workers := casOpts.Workers
 	if workers <= 0 {
 		workers = cas.DefaultWorkers // what cas.Open ran the probe with
+	}
+	// The endpoint, not the writer, has the last word on concurrency.
+	if cfg.MaxConcurrent > 0 && cfg.MaxConcurrent < workers {
+		workers = cfg.MaxConcurrent
 	}
 	// One module of pseudo-random bytes: every chunk is a distinct real
 	// write, like a first full checkpoint (the persist-cost worst case).

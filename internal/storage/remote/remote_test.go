@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
+	"moc/internal/rng"
 	"moc/internal/storage"
 	"moc/internal/storage/cas"
 	"moc/internal/storage/storagetest"
@@ -197,6 +199,38 @@ func TestKeysDeleteAndInnerLayering(t *testing.T) {
 	}
 }
 
+// TestPersistRoundFillsTheEndpoint: a checkpoint round at the store's
+// default width offers the endpoint more puts than it admits, so the
+// endpoint's own limit — 8, the bench's cold_recover remote — is what runs:
+// with writes held inside the endpoint exactly 8 are in flight.
+func TestPersistRoundFillsTheEndpoint(t *testing.T) {
+	hold := storagetest.NewPutHold(storage.NewMemStore(), cas.ChunkPrefix)
+	s := mustNew(t, Config{Inner: hold, LatencySeconds: 0.004, MaxConcurrent: 8})
+	cs, err := cas.Open(s, cas.Options{ChunkSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := make([]byte, 40*64)
+	rng.New(31).Fill(blob)
+	hold.Hold()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cs.WriteRound(0, map[string][]byte{"m": blob})
+		done <- err
+	}()
+	hold.AwaitHeld(8) // a put stage narrower than the endpoint never gets here
+	hold.Release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if peak := hold.Peak(); peak != 8 {
+		t.Fatalf("%d puts inside the endpoint at once, want its MaxConcurrent of 8", peak)
+	}
+	if m := s.Metrics(); m.PutOps != 41 {
+		t.Fatalf("%d puts for 40 chunks and a manifest", m.PutOps)
+	}
+}
+
 func TestCalibrateDerivesPersistSeconds(t *testing.T) {
 	cfg := Config{LatencySeconds: 0.01, UploadBps: 64 << 20}
 	cal, err := Calibrate(cfg, 4<<20, cas.Options{ChunkSize: 64 << 10, Workers: 4})
@@ -222,6 +256,24 @@ func TestCalibrateDerivesPersistSeconds(t *testing.T) {
 	}
 	if cal8.PersistSeconds > cal.PersistSeconds {
 		t.Fatalf("8 workers slower than 4: %v > %v", cal8.PersistSeconds, cal.PersistSeconds)
+	}
+	// The endpoint's admission caps the divisor: 16 writers offered to an
+	// endpoint that serves 8 at once persist no faster than 8 writers do.
+	capped := cfg
+	capped.MaxConcurrent = 8
+	cal16, err := Calibrate(capped, 4<<20, cas.Options{ChunkSize: 64 << 10, Workers: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal16.Workers != 8 || cal16.PersistSeconds != cal16.OpSeconds/8 {
+		t.Fatalf("16 workers against MaxConcurrent 8: %+v, want Workers 8 and OpSeconds/8", cal16)
+	}
+	// Same requests, so the same op-seconds up to float summation order.
+	if d := cal16.PersistSeconds - cal8.PersistSeconds; math.Abs(d) > 1e-9*cal8.PersistSeconds {
+		t.Fatalf("capped estimate %v differs from 8 workers' %v", cal16.PersistSeconds, cal8.PersistSeconds)
+	}
+	if wide, err := Calibrate(cfg, 4<<20, cas.Options{ChunkSize: 64 << 10, Workers: 16}); err != nil || wide.Workers != 16 {
+		t.Fatalf("uncapped endpoint: Workers %d, err %v, want 16", wide.Workers, err)
 	}
 	// Apply slots the measurement into a simtime config.
 	sc := cal.Apply(simtimeConfigForTest())

@@ -710,3 +710,78 @@ func TestSnapshotStoreAdoptSharesAndReturnsTheOldBuffer(t *testing.T) {
 	}
 	PutBuf(dropped[0])
 }
+
+// TestSnapshotStoreNeverRecyclesALentBuffer: a buffer handed out by Lend
+// is the stored one, and no way a slot lets go of it — Adopt, Put, Delete,
+// Clear — returns or pools it while the loan is open; once EndLoans has
+// been called the slot hands its buffer back as before.
+func TestSnapshotStoreNeverRecyclesALentBuffer(t *testing.T) {
+	s := NewSnapshotStore()
+	at := map[string]*byte{}
+	for _, k := range []string{"adopt", "put", "delete", "clear", "ended", "kept"} {
+		b := CopyBuf([]byte("state-of-" + k))
+		at[k] = &b[0]
+		s.Adopt(k, b)
+	}
+	if _, err := s.Lend("missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("lend of a missing key: %v", err)
+	}
+	lent := map[string][]byte{}
+	for _, k := range []string{"adopt", "put", "delete", "clear"} {
+		b, err := s.Lend(k)
+		if err != nil || &b[0] != at[k] {
+			t.Fatalf("%s: lend returned a copy (%v)", k, err)
+		}
+		lent[k] = b
+	}
+
+	old := s.Adopt("adopt", CopyBuf([]byte("next")))
+	if old != nil {
+		t.Fatal("Adopt handed a lent buffer to its caller")
+	}
+	old = s.Adopt("adopt", CopyBuf([]byte("next-2")))
+	if string(old) != "next" {
+		t.Fatalf("the buffer that replaced a lent one is not lent: Adopt returned %q", old)
+	}
+	PutBuf(old)
+	if err := s.Put("put", []byte("overwritten!")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("delete"); err != nil {
+		t.Fatal(err)
+	}
+	// Whatever was pooled is handed out again and scribbled on.
+	for i := 0; i < 256; i++ {
+		b := GetBuf(len("state-of-delete"))
+		for j := range b {
+			b[j] = '#'
+		}
+		defer PutBuf(b)
+	}
+	for _, k := range []string{"adopt", "put", "delete"} {
+		if string(lent[k]) != "state-of-"+k {
+			t.Fatalf("%s: lent buffer recycled under its borrower: %q", k, lent[k])
+		}
+	}
+
+	if _, err := s.Lend("ended"); err != nil {
+		t.Fatal(err)
+	}
+	s.EndLoans()
+	old = s.Adopt("ended", CopyBuf([]byte("next")))
+	if len(old) == 0 || &old[0] != at["ended"] {
+		t.Fatal("after EndLoans a replaced slot must hand its buffer back")
+	}
+	PutBuf(old)
+	if _, err := s.Lend("clear"); err != nil { // EndLoans ended this one too
+		t.Fatal(err)
+	}
+	for _, b := range s.Clear() {
+		if &b[0] == at["clear"] {
+			t.Fatal("Clear returned a lent buffer")
+		}
+	}
+	if string(lent["clear"]) != "state-of-clear" || s.Bytes() != 0 {
+		t.Fatalf("after Clear: lent %q, %d bytes resident", lent["clear"], s.Bytes())
+	}
+}

@@ -21,6 +21,7 @@ type PutHold struct {
 	open    *sync.Cond
 	held    bool
 	waiting int
+	peak    int
 }
 
 // NewPutHold wraps inner, holding writes of keys under prefix on demand.
@@ -54,12 +55,23 @@ func (h *PutHold) AwaitHeld(n int) {
 	h.mu.Unlock()
 }
 
+// Peak returns the most writes under the prefix ever inside Put at once —
+// with the hold on, the width of the writer feeding it.
+func (h *PutHold) Peak() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.peak
+}
+
 func (h *PutHold) pass(key string) {
 	if !strings.HasPrefix(key, h.prefix) {
 		return
 	}
 	h.mu.Lock()
 	h.waiting++
+	if h.waiting > h.peak {
+		h.peak = h.waiting
+	}
 	h.open.Broadcast()
 	for h.held {
 		h.open.Wait()

@@ -74,25 +74,35 @@ type SnapshotStore struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte
 	bytes int64
+	// lent holds the keys whose current buffer Lend has handed out since
+	// the last EndLoans. Such a buffer is never returned by Adopt or Clear
+	// nor recycled by Put or Delete: a slot that lets go of it leaves it to
+	// the garbage collector, its borrower may still be reading it.
+	lent map[string]bool
 }
 
 // NewSnapshotStore creates an empty snapshot store.
 func NewSnapshotStore() *SnapshotStore {
-	return &SnapshotStore{blobs: make(map[string][]byte)}
+	return &SnapshotStore{blobs: make(map[string][]byte), lent: make(map[string]bool)}
 }
 
 // Adopt stores blob without copying it: ownership passes to the store and
 // the caller must not touch blob afterwards. It returns the buffer the key
-// held before (nil if none), which now belongs to the caller — to recycle
-// with PutBuf once nothing else reads it. The checkpoint agent captures
-// module state straight into pooled buffers and adopts them here, so the
-// snapshot level costs no copy; Get returns copies and never views, which
-// is what lets a replaced buffer go back to the pool at all.
+// held before (nil if none, or if that buffer is on loan), which now
+// belongs to the caller — to recycle with PutBuf once nothing else reads
+// it. The checkpoint agent captures module state straight into pooled
+// buffers and adopts them here, so the snapshot level costs no copy. Get
+// returns copies and Lend is remembered, which is what lets a replaced
+// buffer go back to the pool at all.
 func (s *SnapshotStore) Adopt(key string, blob []byte) (old []byte) {
 	s.mu.Lock()
 	old = s.blobs[key]
 	s.blobs[key] = blob
 	s.bytes += int64(len(blob)) - int64(len(old))
+	if s.lent[key] {
+		delete(s.lent, key)
+		old = nil
+	}
 	s.mu.Unlock()
 	return old
 }
@@ -117,6 +127,32 @@ func (s *SnapshotStore) Get(key string) ([]byte, error) {
 	return append([]byte(nil), b...), nil
 }
 
+// Lend returns the stored buffer itself, no copy, or ErrNotFound. The
+// slice is read-only and stays intact for as long as the borrower holds
+// it, whatever happens to its slot: the store remembers the loan and never
+// lets a lent buffer reach the pool (see Adopt). The price is one pool miss
+// per lent buffer that is replaced while the loan is open; EndLoans stops
+// it.
+func (s *SnapshotStore) Lend(key string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.blobs[key]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+	}
+	s.lent[key] = true
+	return b, nil
+}
+
+// EndLoans declares every buffer Lend has handed out unread from now on:
+// the ones still stored are recycled as usual when their slots are next
+// replaced. Borrowers must not touch them afterwards.
+func (s *SnapshotStore) EndLoans() {
+	s.mu.Lock()
+	clear(s.lent)
+	s.mu.Unlock()
+}
+
 // Delete removes a key (no error if absent).
 func (s *SnapshotStore) Delete(key string) error {
 	s.mu.Lock()
@@ -124,6 +160,10 @@ func (s *SnapshotStore) Delete(key string) error {
 	if old != nil {
 		s.bytes -= int64(len(old))
 		delete(s.blobs, key)
+	}
+	if s.lent[key] {
+		delete(s.lent, key)
+		old = nil
 	}
 	s.mu.Unlock()
 	PutBuf(old)
@@ -146,14 +186,18 @@ func (s *SnapshotStore) Keys(prefix string) ([]string, error) {
 
 // Clear simulates a node failure: all in-memory snapshots are lost. The
 // dropped buffers are returned and belong to the caller, who knows whether
-// anything (a persist job sharing an adopted buffer) still reads them.
+// anything (a persist job sharing an adopted buffer) still reads them;
+// buffers on loan are not among them.
 func (s *SnapshotStore) Clear() [][]byte {
 	s.mu.Lock()
 	dropped := make([][]byte, 0, len(s.blobs))
-	for _, b := range s.blobs {
-		dropped = append(dropped, b)
+	for k, b := range s.blobs {
+		if !s.lent[k] {
+			dropped = append(dropped, b)
+		}
 	}
 	s.blobs = make(map[string][]byte)
+	clear(s.lent)
 	s.bytes = 0
 	s.mu.Unlock()
 	return dropped

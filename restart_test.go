@@ -1,6 +1,7 @@
 package moc
 
 import (
+	"strings"
 	"testing"
 
 	"moc/internal/core"
@@ -99,4 +100,89 @@ func TestResumeAndForkMatchInitThenRestore(t *testing.T) {
 		t.Fatalf("resumed at iteration %d, want 20", resumed.Iteration())
 	}
 	sameNextLosses(t, "resume", resumed, ref)
+}
+
+// TestInjectFaultRestoresFromLentSnapshots: a two-level recovery restores
+// surviving experts straight from the snapshot level's buffers and ends the
+// loan. The model it leaves — held-out loss, then five steps across the
+// next checkpoint, whose captures draw on the pool the lent buffers return
+// to — is the one a twin system reaches by restoring from private copies.
+func TestInjectFaultRestoresFromLentSnapshots(t *testing.T) {
+	cfg := overlapConfig()
+	cfg.GateNoise = 0.1
+	cfg.Interval, cfg.KSnapshot, cfg.KPersist = 5, 2, 1
+	cfg.TwoLevelRecovery = true
+	sys, ref := overlapSystem(t, cfg), overlapSystem(t, cfg)
+	steps(t, sys, 23)
+	steps(t, ref, 23)
+
+	if err := sys.InjectFault(); err != nil {
+		t.Fatal(err)
+	}
+	// The twin recovers as InjectFault does for failed node 0, by hand and
+	// from copies.
+	if err := ref.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ref.agent.Recover(func(module string) bool {
+		name := strings.TrimSuffix(strings.TrimSuffix(module, "/w"), "/opt")
+		if _, e, ok := ref.model.IsExpertModule(name); ok {
+			return ref.expertNode(e) != 0
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lent := 0
+	for k, m := range rec {
+		if m.FromSnapshot {
+			lent++
+		}
+		m.Blob = append([]byte(nil), m.Blob...)
+		rec[k] = m
+	}
+	ref.agent.ReleaseRecovered()
+	if lent == 0 || lent == len(rec) {
+		t.Fatalf("%d of %d modules came from the snapshot level: the recovery is not two-level", lent, len(rec))
+	}
+	if _, err := ref.model.Restore(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	if sys.Iteration() != ref.Iteration() {
+		t.Fatalf("recovered to iteration %d, the twin to %d", sys.Iteration(), ref.Iteration())
+	}
+	gotLoss, gotAcc, err := sys.Evaluate(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLoss, wantAcc, err := ref.Evaluate(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotLoss != wantLoss || gotAcc != wantAcc {
+		t.Fatalf("evaluates to %v/%v after the fault, restored from copies %v/%v", gotLoss, gotAcc, wantLoss, wantAcc)
+	}
+	for i := 0; i < 5; i++ {
+		got, err := sys.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("step %d after the fault: loss %v, restored from copies %v", i, got, want)
+		}
+	}
+	for _, s := range []*System{sys, ref} {
+		if err := s.FlushCheckpoints(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := sys.Stats().Checkpoints, ref.Stats().Checkpoints; a != b || a < 5 {
+		t.Fatalf("%d checkpoints after the fault, the twin %d, want the same and the one at iteration 25 among them", a, b)
+	}
 }

@@ -214,8 +214,9 @@ type Config struct {
 	// readable regardless of this setting.
 	Chunking Chunking
 	// PersistWorkers is the checkpoint store's striped put fan-out: how
-	// many goroutines drive the persist backend in parallel (0 = the
-	// store default, 4).
+	// many chunk writes a round offers the persist backend at once, the
+	// backend's own admission deciding how many proceed (0 = the store
+	// default, 16 — the same width as RecoverWorkers).
 	PersistWorkers int
 	// HashWorkers is the chunk-hashing fan-out of the persist pipeline
 	// (0 = GOMAXPROCS, capped at 8). Hashing, dedup filtering, and
@@ -692,6 +693,10 @@ func (s *System) InjectFault() error {
 		}
 	}
 	rec, err := s.agent.Recover(surviving)
+	// Surviving modules come back as the snapshot level's own buffers;
+	// once they are restored (or recovery has failed) the loan ends, so
+	// the next rounds' captures find those buffers in the pool again.
+	defer s.agent.ReleaseRecovered()
 	if err != nil {
 		return fmt.Errorf("moc: recover: %w", err)
 	}
