@@ -1357,9 +1357,7 @@ func chaosGoodputRun(b *testing.B, adaptive bool) (goodput float64, rounds int, 
 	}
 	defer f.Close()
 	if adaptive {
-		f.SetCadence(moc.FleetCadenceConfig{
-			DownStretch: 2, BacklogStretch: 1.5, MaxStretch: 8, Relax: 0.5,
-		})
+		f.SetCadence()
 	}
 	cfg := moc.Config{
 		Layers: 3, Hidden: 24, Experts: 4, TopK: 2,

@@ -280,9 +280,7 @@ func TestChaosPartitionHealCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.SetCadence(moc.FleetCadenceConfig{
-		DownStretch: 2, BacklogStretch: 1.5, MaxStretch: 8, Relax: 0.5,
-	})
+	f.SetCadence()
 
 	const interval = 4
 	cfg := chaosBaseConfig()

@@ -36,12 +36,13 @@
 // InjectFault restores surviving experts straight from the snapshot level
 // and ends the loan; the snapshot store remembers what it has lent, and
 // a buffer replaced while on loan is left to the garbage collector, never
-// pooled.
+// pooled. The failed node's snapshots are skipped by that recovery, not
+// dropped: they stay resident, and a later two-level recovery in which
+// their node survives can serve them.
 //
-// Both directions of the persist level offer the backend the same width
-// by default (Config.PersistWorkers and RecoverWorkers, 16 requests in
-// flight, split per shard on a sharded backend); the backend's own
-// admission decides how many proceed.
+// Both directions of the persist level offer the backend the store's
+// default width (16 requests in flight, split per shard on a sharded
+// backend); the backend's own admission decides how many proceed.
 //
 // Restart. A System built with Config.Resume (or by ForkOn/ForkOnFleet)
 // gets its model from recovered state, not from its seed: the store is

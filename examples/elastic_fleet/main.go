@@ -59,10 +59,8 @@ func main() {
 	}
 	defer fleet.Close()
 	// The adaptive cadence: x2 per down backend, x1.5 while repair is
-	// owed, capped at x6, relaxing half the gap per healthy scrub.
-	fleet.SetCadence(moc.FleetCadenceConfig{
-		DownStretch: 2, BacklogStretch: 1.5, MaxStretch: 6, Relax: 0.5,
-	})
+	// owed, capped at x8, relaxing half the gap per healthy scrub.
+	fleet.SetCadence()
 
 	// The timed fault scenario (iterations, half-open windows):
 	//   [ 30, 60) remote replica straggles (x8 latency, /8 bandwidth)

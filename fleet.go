@@ -61,12 +61,6 @@ type FleetJob struct {
 	LeaseExpires time.Time
 }
 
-// FleetCadenceConfig tunes the lease-aware adaptive checkpoint cadence
-// (Fleet.SetCadence). Zero values take defaults: ×2 per down backend,
-// ×1.5 while anti-entropy repair is owed, ×1.5 while the shard balance
-// exceeds 1.5, capped at ×8, relaxing half the gap per healthy scrub.
-type FleetCadenceConfig = fleet.CadenceConfig
-
 // FleetJobStats is one job's storage footprint on the shared store.
 type FleetJobStats = fleet.JobStats
 
@@ -170,11 +164,12 @@ func (f *Fleet) ExpiredJobs() []FleetJob {
 // debt, shard imbalance) to a controller, and every fleet-attached
 // System consults it each iteration, stretching its checkpoint interval
 // while the fleet is degraded and relaxing back to the configured
-// cadence once it heals. Degradation is adopted instantly; recovery is
-// geometric (Relax of the remaining gap per healthy pass), so a
-// flapping backend does not make the cadence flap. Enable it before
-// starting the scrub daemon.
-func (f *Fleet) SetCadence(cfg FleetCadenceConfig) { f.svc.SetCadence(cfg) }
+// cadence once it heals: ×2 per down backend, ×1.5 while anti-entropy
+// repair is owed, ×1.5 while the shard balance exceeds 1.5, capped at
+// ×8. Degradation is adopted instantly; recovery is geometric (half the
+// remaining gap per healthy pass), so a flapping backend does not make
+// the cadence flap. Enable it before starting the scrub daemon.
+func (f *Fleet) SetCadence() { f.svc.SetCadence() }
 
 // Cadence maps a base checkpoint interval through the current adaptive
 // stretch — what a training loop outside System.Step asks each round to

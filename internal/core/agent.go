@@ -70,7 +70,7 @@ type Agent struct {
 	// Buffer ownership. A captured blob is one pooled buffer shared,
 	// read-only, by the snapshot store and by its round's persist job. It
 	// goes back to the pool once the store has let go of it (a newer round
-	// replaced it, or the node failed) and every persist job that may read
+	// replaced it) and every persist job that may read
 	// it has returned. Jobs run in hand-off order, so that is when the
 	// newest job handed off before the buffer was let go returns:
 	// jobsQueued stamps the buffer, jobsReturned releases it.
@@ -375,11 +375,11 @@ type RecoveredModule struct {
 // The snapshot level is served by reference: a FromSnapshot blob is the
 // snapshot store's buffer, lent read-only (storage.SnapshotStore.Lend), not
 // a copy. The loan needs no care to be safe — a lent buffer is never
-// recycled while the loan is open, whatever later rounds or FailNode do to
-// its slot, so the bytes stay intact for as long as the caller holds them —
-// but each lent buffer replaced meanwhile is one the next capture misses in
-// the pool, so a caller that has restored from the blobs (or given up) says
-// so with ReleaseRecovered and must not read them afterwards.
+// recycled while the loan is open, whatever later rounds do to its slot,
+// so the bytes stay intact for as long as the caller holds them — but each
+// lent buffer replaced meanwhile is one the next capture misses in the
+// pool, so a caller that has restored from the blobs (or given up) says so
+// with ReleaseRecovered and must not read them afterwards.
 func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]RecoveredModule, error) {
 	a.mu.Lock()
 	latest := -1
@@ -443,16 +443,4 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 // time share the one loan; end it after the last.
 func (a *Agent) ReleaseRecovered() {
 	a.snap.EndLoans()
-}
-
-// FailNode simulates the node hosting this agent crashing: all in-memory
-// snapshots are lost; persisted state survives — including rounds still on
-// their way to storage, whose jobs keep reading the dropped buffers.
-func (a *Agent) FailNode() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.snapRound = make(map[string]int)
-	for _, buf := range a.snap.Clear() {
-		a.retire(buf)
-	}
 }

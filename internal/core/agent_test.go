@@ -168,32 +168,6 @@ func TestAgentTwoLevelRecoveryPrefersFreshSnapshots(t *testing.T) {
 	}
 }
 
-func TestAgentFailNodeDropsSnapshots(t *testing.T) {
-	a, _, _ := newTestAgent(t, 3)
-	a.TrySnapshot(0, func() (CheckpointData, error) {
-		return blobData("ne", "ne@0"), nil
-	}, nil)
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	a.TrySnapshot(1, func() (CheckpointData, error) {
-		return blobData("ne", "ne@1"), nil
-	}, func(string) bool { return false }) // snapshot-only round
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.FailNode()
-	rec, err := a.Recover(func(string) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fresh snapshot died with the node; only round 0 is recoverable.
-	if string(rec["ne"].Blob) != "ne@0" || rec["ne"].FromSnapshot {
-		t.Fatalf("after node failure: %+v, want persisted ne@0", rec["ne"])
-	}
-}
-
 func TestAgentSkipsWhenBusy(t *testing.T) {
 	a, _, _ := newTestAgent(t, 2)
 	release := make(chan struct{})
@@ -462,69 +436,64 @@ func pooledCapture(round, modules, size int) func() (CheckpointData, error) {
 // TestAgentBuffersOutliveTheirSnapshotSlots: a captured buffer is shared
 // by the snapshot store and the round's persist job. With round 0's write
 // held at the backend, three further rounds replace every snapshot slot
-// (or the node fails and drops them all) and capture into whatever the
-// pool hands out; had a replaced buffer gone back to the pool while round
-// 0 was still reading it, the held puts would store a later round's bytes.
+// and capture into whatever the pool hands out; had a replaced buffer gone
+// back to the pool while round 0 was still reading it, the held puts would
+// store a later round's bytes.
 func TestAgentBuffersOutliveTheirSnapshotSlots(t *testing.T) {
 	const modules, size = 6, 4096 // a pool class of its own, so recycling is certain
-	for _, failNode := range []bool{false, true} {
-		hold := storagetest.NewPutHold(storage.NewMemStore(), cas.ChunkPrefix)
-		a, err := NewAgentWithOptions(storage.NewSnapshotStore(), hold, 6, cas.Options{ChunkSize: 1024})
-		if err != nil {
+	hold := storagetest.NewPutHold(storage.NewMemStore(), cas.ChunkPrefix)
+	a, err := NewAgentWithOptions(storage.NewSnapshotStore(), hold, 6, cas.Options{ChunkSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(round int) {
+		t.Helper()
+		if !a.TrySnapshot(round, pooledCapture(round, modules, size), nil) {
+			t.Fatalf("round %d refused", round)
+		}
+		if err := a.WaitSnapshot(); err != nil {
 			t.Fatal(err)
 		}
-		snapshot := func(round int) {
-			t.Helper()
-			if !a.TrySnapshot(round, pooledCapture(round, modules, size), nil) {
-				t.Fatalf("round %d refused", round)
-			}
-			if err := a.WaitSnapshot(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		hold.Hold()
-		snapshot(0)
-		hold.AwaitHeld(1) // round 0 is hashed and its puts alias the shared buffers
-		if failNode {
-			a.FailNode()
-		}
-		for r := 1; r <= 3; r++ {
-			snapshot(r)
-		}
-		hold.Release()
-		if err := a.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r <= 3; r++ {
-			for m := 0; m < modules; m++ {
-				got, err := a.Store().ReadModule(r, fmt.Sprintf("m%d", m))
-				if err != nil {
-					t.Fatalf("failNode=%v round %d m%d: %v", failNode, r, m, err)
-				}
-				if !bytes.Equal(got, roundBlob(r, m, size)) {
-					t.Fatalf("failNode=%v: round %d m%d holds another round's bytes", failNode, r, m)
-				}
-			}
-		}
-		rec, err := a.Recover(func(string) bool { return true })
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+	hold.Hold()
+	snapshot(0)
+	hold.AwaitHeld(1) // round 0 is hashed and its puts alias the shared buffers
+	for r := 1; r <= 3; r++ {
+		snapshot(r)
+	}
+	hold.Release()
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r <= 3; r++ {
 		for m := 0; m < modules; m++ {
-			got := rec[fmt.Sprintf("m%d", m)]
-			if !got.FromSnapshot || got.Round != 3 || !bytes.Equal(got.Blob, roundBlob(3, m, size)) {
-				t.Fatalf("failNode=%v: snapshot level serves m%d from round %d (snapshot=%v)", failNode, m, got.Round, got.FromSnapshot)
+			got, err := a.Store().ReadModule(r, fmt.Sprintf("m%d", m))
+			if err != nil {
+				t.Fatalf("round %d m%d: %v", r, m, err)
+			}
+			if !bytes.Equal(got, roundBlob(r, m, size)) {
+				t.Fatalf("round %d m%d holds another round's bytes", r, m)
 			}
 		}
-		a.mu.Lock()
-		waiting := len(a.retired)
-		a.mu.Unlock()
-		if waiting != 0 {
-			t.Fatalf("failNode=%v: %d buffers still withheld from the pool with nothing in flight", failNode, waiting)
+	}
+	rec, err := a.Recover(func(string) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < modules; m++ {
+		got := rec[fmt.Sprintf("m%d", m)]
+		if !got.FromSnapshot || got.Round != 3 || !bytes.Equal(got.Blob, roundBlob(3, m, size)) {
+			t.Fatalf("snapshot level serves m%d from round %d (snapshot=%v)", m, got.Round, got.FromSnapshot)
 		}
-		if err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	a.mu.Lock()
+	waiting := len(a.retired)
+	a.mu.Unlock()
+	if waiting != 0 {
+		t.Fatalf("%d buffers still withheld from the pool with nothing in flight", waiting)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -31,40 +31,16 @@ func (a *Agent) Compact() (deleted int, err error) {
 
 // CompactStats is Compact with the full GC breakdown.
 func (a *Agent) CompactStats() (cas.GCStats, error) {
-	a.mu.Lock()
-	latest := -1
-	if len(a.completeRounds) > 0 {
-		latest = a.completeRounds[len(a.completeRounds)-1]
-	}
-	// newest[k] is the round Recover would read module k from.
-	newest := make(map[string]int, len(a.persistIndex))
-	for k, rounds := range a.persistIndex {
-		for i := len(rounds) - 1; i >= 0; i-- {
-			if rounds[i] <= latest {
-				newest[k] = rounds[i]
-				break
-			}
-		}
-	}
-	a.mu.Unlock()
-
+	latest := a.LatestCompleteRound()
 	// Liveness is writer-scoped: this agent judges only the manifests it
-	// wrote. Other writers on a shared backend — NodeGroup peers, or
-	// other jobs of a fleet store, which reuse the same module NAMES for
-	// entirely separate model lineages — are kept unconditionally; only
-	// their owner may retire their entries (the fleet service's Retain
-	// unions every job's liveness for exactly this reason).
+	// wrote, keeping each module's newest round (the one Recover reads).
+	// Other writers on a shared backend — other jobs of a fleet store,
+	// which reuse the same module NAMES for entirely separate model
+	// lineages — are kept unconditionally; only their owner may retire
+	// their entries (the fleet service's Retain unions every job's
+	// liveness for exactly this reason).
 	own := a.store.Writer()
-	live := func(round int, writer, module string) bool {
-		if writer != own {
-			return true
-		}
-		nr, ok := newest[module]
-		return !ok || round >= nr
-	}
-	keep := func(round int, writer string) bool {
-		return writer != own || round == latest
-	}
+	live, keep := cas.NewestLiveness(a.store.Manifests(), func(w string) bool { return w == own })
 	st, err := a.store.RetainScoped(live, keep)
 	if err != nil {
 		return st, fmt.Errorf("core: compact: %w", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -137,6 +138,48 @@ func TestCompactThenReopen(t *testing.T) {
 	}
 	if string(rec["ne"].Blob) != "ne@4" {
 		t.Fatalf("reopened recovery after compact: %+v", rec["ne"])
+	}
+}
+
+// TestCompactJudgesOnlyItsOwnWriter: two agents persist the same module
+// names under their own writer ids on one backend. Compaction retires the
+// compacting agent's superseded copies and leaves every manifest of the
+// other writer — a separate lineage — as it was.
+func TestCompactJudgesOnlyItsOwnWriter(t *testing.T) {
+	persist := storage.NewMemStore()
+	agents := map[string]*Agent{}
+	for _, w := range []string{"a", "b"} {
+		ag, err := NewAgentWithOptions(storage.NewSnapshotStore(), persist, 3, cas.Options{Writer: w, ScopeToWriter: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ag.Close()
+		for r := 0; r < 3; r++ {
+			blob := fmt.Sprintf("%s:ne@%d", w, r)
+			if !ag.TrySnapshot(r, func() (CheckpointData, error) { return blobData("ne", blob), nil }, nil) {
+				t.Fatalf("%s round %d refused", w, r)
+			}
+			if err := ag.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		agents[w] = ag
+	}
+	st, err := agents["a"].CompactStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EntriesDropped != 2 {
+		t.Fatalf("compact dropped %d entries, want a's two superseded copies", st.EntriesDropped)
+	}
+	for r := 0; r < 3; r++ {
+		_, errA := agents["a"].Store().ReadModule(r, "ne")
+		if (errA == nil) != (r == 2) {
+			t.Fatalf("a's ne@%d readable=%v after compact, want only the newest", r, errA == nil)
+		}
+		if got, err := agents["b"].Store().ReadModule(r, "ne"); err != nil || string(got) != fmt.Sprintf("b:ne@%d", r) {
+			t.Fatalf("b's ne@%d after a's compact: %q %v", r, got, err)
+		}
 	}
 }
 

@@ -127,20 +127,6 @@ func sortEvents(events []Event) {
 // Events returns the schedule's events in order.
 func (s Schedule) Events() []Event { return append([]Event(nil), s.events...) }
 
-// Len counts the events.
-func (s Schedule) Len() int { return len(s.events) }
-
-// Merge composes schedules into one timeline — the Schedule counterpart
-// of Union. Duplicate events collapse.
-func (s Schedule) Merge(others ...Schedule) Schedule {
-	all := append([]Event(nil), s.events...)
-	for _, o := range others {
-		all = append(all, o.events...)
-	}
-	merged, _ := NewSchedule(all...) // inputs were validated at construction
-	return merged
-}
-
 // ActiveAt returns the events whose window covers the iteration
 // (Start <= it < End), in schedule order.
 func (s Schedule) ActiveAt(it int) []Event {
@@ -186,84 +172,4 @@ func (s Schedule) Horizon() int {
 		}
 	}
 	return h
-}
-
-// Plan projects the schedule onto an instantaneous Plan of its start
-// iterations, so timed scenarios compose with the existing Plan
-// machinery (Union with a Poisson node-fault process, IsFault-driven
-// harnesses).
-func (s Schedule) Plan() *Plan {
-	iters := make([]int, 0, len(s.events))
-	for _, e := range s.events {
-		iters = append(iters, e.Start)
-	}
-	return newPlan(iters)
-}
-
-// FromPlan lifts an instantaneous Plan into timed events: one event of
-// the given kind, duration, and target per scheduled fault iteration —
-// the other direction of Schedule.Plan, letting a Poisson arrival
-// process drive duration-carrying chaos.
-func FromPlan(k Kind, p *Plan, duration, target int) Schedule {
-	if p == nil || duration <= 0 {
-		return Schedule{}
-	}
-	events := make([]Event, 0, p.Count())
-	for _, it := range p.Iterations() {
-		events = append(events, Event{Kind: k, Start: it, End: it + duration, Target: target})
-	}
-	s, err := NewSchedule(events...)
-	if err != nil {
-		// Unreachable: plan iterations are positive and duration > 0.
-		return Schedule{}
-	}
-	return s
-}
-
-// PreemptionWave schedules a spot preemption wave: every target job is
-// preempted at iteration at, and replacement capacity arrives for all
-// of them duration iterations later — the mass lease expiry + adoption
-// scenario.
-func PreemptionWave(at, duration int, targets ...int) Schedule {
-	events := make([]Event, 0, len(targets))
-	for _, t := range targets {
-		events = append(events, Event{Kind: Preempt, Start: at, End: at + duration, Target: t})
-	}
-	s, err := NewSchedule(events...)
-	if err != nil {
-		return Schedule{}
-	}
-	return s
-}
-
-// StragglerWindow schedules one backend degrading — slow, not dead —
-// for iterations [start, end).
-func StragglerWindow(target, start, end int) Schedule {
-	s, err := NewSchedule(Event{Kind: Straggle, Start: start, End: end, Target: target})
-	if err != nil {
-		return Schedule{}
-	}
-	return s
-}
-
-// PartitionBetween schedules a network partition between replicas a and
-// b for iterations [start, end): the writer stays on a's side, so b is
-// the unreachable target until the partition heals at end.
-func PartitionBetween(a, b, start, end int) Schedule {
-	_ = a // the writer's side; recorded by convention, not in the event
-	s, err := NewSchedule(Event{Kind: Partition, Start: start, End: end, Target: b})
-	if err != nil {
-		return Schedule{}
-	}
-	return s
-}
-
-// BackendDownWindow schedules one backend lost outright for iterations
-// [start, end).
-func BackendDownWindow(target, start, end int) Schedule {
-	s, err := NewSchedule(Event{Kind: BackendDown, Start: start, End: end, Target: target})
-	if err != nil {
-		return Schedule{}
-	}
-	return s
 }

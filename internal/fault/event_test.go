@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestEventValidation(t *testing.T) {
 	cases := []Event{
@@ -34,13 +31,13 @@ func TestScheduleOrderingAndDedup(t *testing.T) {
 	if len(got) != 2 || got[0] != e2 || got[1] != e1 {
 		t.Fatalf("events %v, want [%v %v]", got, e2, e1)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len %d", s.Len())
-	}
 }
 
 func TestScheduleWindows(t *testing.T) {
-	s := StragglerWindow(2, 10, 20)
+	s, err := NewSchedule(Event{Kind: Straggle, Start: 10, End: 20, Target: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n := len(s.ActiveAt(9)); n != 0 {
 		t.Fatalf("active before start: %d", n)
 	}
@@ -64,73 +61,6 @@ func TestScheduleWindows(t *testing.T) {
 	}
 	if h := (Schedule{}).Horizon(); h != 0 {
 		t.Fatalf("empty Horizon %d", h)
-	}
-}
-
-func TestGenerators(t *testing.T) {
-	wave := PreemptionWave(100, 30, 0, 1, 2)
-	if wave.Len() != 3 {
-		t.Fatalf("wave events %d", wave.Len())
-	}
-	for _, e := range wave.Events() {
-		if e.Kind != Preempt || e.Start != 100 || e.End != 130 {
-			t.Fatalf("wave event %v", e)
-		}
-	}
-	part := PartitionBetween(0, 1, 40, 60)
-	pe := part.Events()
-	if len(pe) != 1 || pe[0].Kind != Partition || pe[0].Target != 1 {
-		t.Fatalf("partition events %v", pe)
-	}
-	down := BackendDownWindow(1, 5, 9)
-	de := down.Events()
-	if len(de) != 1 || de[0].Kind != BackendDown {
-		t.Fatalf("down events %v", de)
-	}
-}
-
-func TestScheduleMerge(t *testing.T) {
-	merged := PreemptionWave(50, 10, 0).Merge(
-		StragglerWindow(1, 20, 40),
-		PartitionBetween(0, 1, 30, 45),
-	)
-	if merged.Len() != 3 {
-		t.Fatalf("merged events %d: %v", merged.Len(), merged.Events())
-	}
-	// 30..39 has both the straggler and the partition active.
-	if n := len(merged.ActiveAt(35)); n != 2 {
-		t.Fatalf("ActiveAt(35) = %d events", n)
-	}
-	// Merging a schedule with itself changes nothing.
-	if again := merged.Merge(merged); again.Len() != merged.Len() {
-		t.Fatalf("self-merge grew the schedule: %d", again.Len())
-	}
-}
-
-func TestSchedulePlanComposesWithUnion(t *testing.T) {
-	sched := StragglerWindow(0, 10, 20).Merge(PreemptionWave(30, 5, 0, 1))
-	p := Union(sched.Plan(), At(7))
-	if !reflect.DeepEqual(p.Iterations(), []int{7, 10, 30}) {
-		t.Fatalf("union iterations %v", p.Iterations())
-	}
-}
-
-func TestFromPlanLiftsArrivals(t *testing.T) {
-	s := FromPlan(BackendDown, At(10, 25), 5, 1)
-	events := s.Events()
-	if len(events) != 2 {
-		t.Fatalf("events %v", events)
-	}
-	want0 := Event{Kind: BackendDown, Start: 10, End: 15, Target: 1}
-	want1 := Event{Kind: BackendDown, Start: 25, End: 30, Target: 1}
-	if events[0] != want0 || events[1] != want1 {
-		t.Fatalf("events %v, want [%v %v]", events, want0, want1)
-	}
-	if FromPlan(BackendDown, nil, 5, 0).Len() != 0 {
-		t.Fatal("nil plan should lift to empty schedule")
-	}
-	if FromPlan(BackendDown, At(10), 0, 0).Len() != 0 {
-		t.Fatal("zero duration should lift to empty schedule")
 	}
 }
 

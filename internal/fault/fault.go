@@ -71,19 +71,6 @@ func Poisson(rate float64, total int, seed uint64) *Plan {
 	return newPlan(iters)
 }
 
-// Union merges schedules: a fault strikes when any input plan strikes.
-// Useful for composing independent failure processes — e.g. node faults
-// and persist-backend losses — into one experiment timeline.
-func Union(plans ...*Plan) *Plan {
-	var iters []int
-	for _, p := range plans {
-		if p != nil {
-			iters = append(iters, p.order...)
-		}
-	}
-	return newPlan(iters)
-}
-
 // IsFault reports whether a fault strikes after the given iteration.
 func (p *Plan) IsFault(iteration int) bool { return p.at[iteration] }
 

@@ -31,23 +31,6 @@ func TestEveryDegenerate(t *testing.T) {
 	}
 }
 
-func TestUnionMergesSchedules(t *testing.T) {
-	p := Union(At(10, 30), At(20, 30), nil, None())
-	got := p.Iterations()
-	want := []int{10, 20, 30}
-	if len(got) != len(want) {
-		t.Fatalf("iterations %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("iterations %v, want %v", got, want)
-		}
-	}
-	if Union().Count() != 0 {
-		t.Fatal("empty union should schedule nothing")
-	}
-}
-
 func TestAtDeduplicatesAndSorts(t *testing.T) {
 	p := At(50, 10, 50, 0, -3)
 	got := p.Iterations()
@@ -128,43 +111,5 @@ func TestPoissonDeterministicAcrossRuns(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seed 8 drew seed 7's arrival sequence")
-	}
-}
-
-// TestUnionOverlapDedup pins Union's overlapping-iteration semantics: an
-// iteration scheduled by several plans (or several times by one plan)
-// strikes once, Count reflects the deduplicated set, and a plan unioned
-// with itself is unchanged.
-func TestUnionOverlapDedup(t *testing.T) {
-	a := At(10, 20, 30)
-	b := At(20, 30, 40)
-	u := Union(a, b)
-	want := []int{10, 20, 30, 40}
-	got := u.Iterations()
-	if len(got) != len(want) {
-		t.Fatalf("iterations %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("iterations %v, want %v", got, want)
-		}
-	}
-	if u.Count() != 4 {
-		t.Fatalf("count %d after dedup, want 4", u.Count())
-	}
-	self := Union(a, a, a)
-	if self.Count() != a.Count() {
-		t.Fatalf("self-union count %d, want %d", self.Count(), a.Count())
-	}
-	for _, it := range a.Iterations() {
-		if !self.IsFault(it) {
-			t.Fatalf("self-union lost iteration %d", it)
-		}
-	}
-	// Union must not alias its inputs: mutating the union's returned
-	// slice leaves the originals intact.
-	got[0] = 9999
-	if a.Iterations()[0] != 10 {
-		t.Fatal("Union aliased an input plan's iterations")
 	}
 }

@@ -75,7 +75,7 @@ func TestScopeToWriterHidesOtherWritersManifests(t *testing.T) {
 	if !bytes.Equal(got, own["m"]) {
 		t.Fatal("scoped store resolved the module through a foreign manifest")
 	}
-	// The unscoped view still merges writers (NodeGroup semantics).
+	// The unscoped view still merges writers (one recovery over several writers' manifests).
 	unscoped, err := Open(backend, Options{ChunkSize: 1 << 10, Writer: "c"})
 	if err != nil {
 		t.Fatal(err)

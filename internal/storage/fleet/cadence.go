@@ -16,9 +16,10 @@ import (
 // cadence trades a bounded amount of recomputation-at-risk for goodput
 // during the fault and a smaller post-heal backlog.
 
-// Cadence defaults.
+// Cadence tuning.
 const (
-	// DefaultDownStretch multiplies the interval once per down backend.
+	// DefaultDownStretch multiplies the interval once per down backend
+	// (two backends down stretch by its square).
 	DefaultDownStretch = 2.0
 	// DefaultBacklogStretch multiplies the interval while an
 	// anti-entropy Sync is owed (repair debt outstanding).
@@ -33,53 +34,11 @@ const (
 	// interval stops buying goodput and only risks recomputation.
 	DefaultMaxStretch = 8.0
 	// DefaultRelax is the fraction of the gap to the target stretch
-	// closed per healthy observation.
+	// closed per healthy observation. Degradation is adopted instantly;
+	// recovery is gradual — a flapping backend must not make the cadence
+	// flap with it.
 	DefaultRelax = 0.5
 )
-
-// CadenceConfig tunes the adaptive checkpoint cadence controller. The
-// zero value takes every default.
-type CadenceConfig struct {
-	// DownStretch is the per-down-backend interval multiplier (>= 1;
-	// two backends down stretch by DownStretch²).
-	DownStretch float64
-	// BacklogStretch multiplies the interval while anti-entropy repair
-	// is owed (>= 1).
-	BacklogStretch float64
-	// ImbalanceStretch multiplies the interval while the shard chunk
-	// balance exceeds ImbalanceOver (>= 1).
-	ImbalanceStretch float64
-	// ImbalanceOver is the max/mean shard balance threshold (> 1).
-	ImbalanceOver float64
-	// MaxStretch caps the combined stretch (>= 1).
-	MaxStretch float64
-	// Relax is the fraction of the gap to the target closed per
-	// observation while relaxing, in (0, 1]. Degradation is adopted
-	// instantly; recovery is gradual — a flapping backend must not make
-	// the cadence flap with it.
-	Relax float64
-}
-
-func (c *CadenceConfig) fillDefaults() {
-	if c.DownStretch == 0 {
-		c.DownStretch = DefaultDownStretch
-	}
-	if c.BacklogStretch == 0 {
-		c.BacklogStretch = DefaultBacklogStretch
-	}
-	if c.ImbalanceStretch == 0 {
-		c.ImbalanceStretch = DefaultImbalanceStretch
-	}
-	if c.ImbalanceOver == 0 {
-		c.ImbalanceOver = DefaultImbalanceOver
-	}
-	if c.MaxStretch == 0 {
-		c.MaxStretch = DefaultMaxStretch
-	}
-	if c.Relax == 0 {
-		c.Relax = DefaultRelax
-	}
-}
 
 // HealthSignal is one observation of fleet storage health, fed to the
 // cadence controller by the scrub pass (or directly by tests).
@@ -98,51 +57,47 @@ type HealthSignal struct {
 // CadenceController turns health observations into a checkpoint
 // interval stretch factor. Degradation is adopted instantly (the next
 // interval already reflects a lost replica), recovery relaxes
-// geometrically (Relax of the remaining gap per healthy observation),
-// and the stretch never exceeds MaxStretch nor drops below 1.
+// geometrically (DefaultRelax of the remaining gap per healthy
+// observation), and the stretch never exceeds DefaultMaxStretch nor
+// drops below 1.
 type CadenceController struct {
 	mu      sync.Mutex
-	cfg     CadenceConfig
 	stretch float64
 }
 
 // NewCadenceController builds a controller at stretch 1 (no
 // adaptation yet).
-func NewCadenceController(cfg CadenceConfig) *CadenceController {
-	cfg.fillDefaults()
-	return &CadenceController{cfg: cfg, stretch: 1}
+func NewCadenceController() *CadenceController {
+	return &CadenceController{stretch: 1}
 }
 
-// target maps a signal to the stretch the controller should be at
+// stretchFor maps a signal to the stretch the controller should be at
 // while that signal persists.
-func (c *CadenceController) target(sig HealthSignal) float64 {
+func stretchFor(sig HealthSignal) float64 {
 	t := 1.0
 	if sig.BackendsDown > 0 {
-		t *= math.Pow(c.cfg.DownStretch, float64(sig.BackendsDown))
+		t *= math.Pow(DefaultDownStretch, float64(sig.BackendsDown))
 	}
 	if sig.SyncOwed {
-		t *= c.cfg.BacklogStretch
+		t *= DefaultBacklogStretch
 	}
-	if sig.ShardImbalance > c.cfg.ImbalanceOver {
-		t *= c.cfg.ImbalanceStretch
+	if sig.ShardImbalance > DefaultImbalanceOver {
+		t *= DefaultImbalanceStretch
 	}
-	if t > c.cfg.MaxStretch {
-		t = c.cfg.MaxStretch
-	}
-	return t
+	return math.Min(t, DefaultMaxStretch)
 }
 
 // Observe feeds one health observation and returns the resulting
 // stretch. A worsening signal takes effect immediately; an improving
-// one closes Relax of the gap per call.
+// one closes DefaultRelax of the gap per call.
 func (c *CadenceController) Observe(sig HealthSignal) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.target(sig)
+	t := stretchFor(sig)
 	if t >= c.stretch {
 		c.stretch = t
 	} else {
-		c.stretch -= c.cfg.Relax * (c.stretch - t)
+		c.stretch -= DefaultRelax * (c.stretch - t)
 		if c.stretch < 1 {
 			c.stretch = 1
 		}
@@ -180,8 +135,8 @@ func (c *CadenceController) Interval(base int) int {
 // sessions consult it (CadenceInterval) to stretch their checkpoint
 // interval while the fleet is degraded. Call before the scrub daemon
 // starts; passing a second controller replaces the first.
-func (s *Service) SetCadence(cfg CadenceConfig) *CadenceController {
-	ctl := NewCadenceController(cfg)
+func (s *Service) SetCadence() *CadenceController {
+	ctl := NewCadenceController()
 	s.mu.Lock()
 	s.cadence = ctl
 	s.mu.Unlock()

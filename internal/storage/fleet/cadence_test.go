@@ -11,7 +11,7 @@ import (
 )
 
 func TestCadenceControllerStretchAndRelax(t *testing.T) {
-	c := NewCadenceController(CadenceConfig{DownStretch: 2, BacklogStretch: 1.5, Relax: 0.5, MaxStretch: 8})
+	c := NewCadenceController()
 	if got := c.Stretch(); got != 1 {
 		t.Fatalf("initial stretch %v", got)
 	}
@@ -44,23 +44,23 @@ func TestCadenceControllerStretchAndRelax(t *testing.T) {
 }
 
 func TestCadenceControllerImbalanceSignal(t *testing.T) {
-	c := NewCadenceController(CadenceConfig{ImbalanceStretch: 2, ImbalanceOver: 1.5})
+	c := NewCadenceController()
 	if got := c.Observe(HealthSignal{ShardImbalance: 1.4}); got != 1 {
 		t.Fatalf("balanced fleet stretched: %v", got)
 	}
-	if got := c.Observe(HealthSignal{ShardImbalance: 2.0}); got != 2 {
-		t.Fatalf("imbalanced stretch %v, want 2", got)
+	if got := c.Observe(HealthSignal{ShardImbalance: 2.0}); got != 1.5 {
+		t.Fatalf("imbalanced stretch %v, want 1.5", got)
 	}
 }
 
 func TestCadenceControllerInterval(t *testing.T) {
-	c := NewCadenceController(CadenceConfig{DownStretch: 3})
+	c := NewCadenceController()
 	if got := c.Interval(10); got != 10 {
 		t.Fatalf("healthy interval %d", got)
 	}
 	c.Observe(HealthSignal{BackendsDown: 1})
-	if got := c.Interval(10); got != 30 {
-		t.Fatalf("stretched interval %d, want 30", got)
+	if got := c.Interval(10); got != 20 {
+		t.Fatalf("stretched interval %d, want 20", got)
 	}
 	// Disabled checkpointing stays disabled.
 	if got := c.Interval(0); got != 0 {
@@ -82,7 +82,7 @@ func TestScrubFeedsCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.SetCadence(CadenceConfig{DownStretch: 4, BacklogStretch: 2, Relax: 0.5})
+	svc.SetCadence()
 	sess, err := svc.AcquireOrRegister("job", "")
 	if err != nil {
 		t.Fatal(err)
@@ -107,16 +107,16 @@ func TestScrubFeedsCadence(t *testing.T) {
 	}
 
 	// A backend fails: the next pass stretches the cadence instantly
-	// (one down backend, and a Sync owed) — 4 × 2.
+	// (one down backend, and a Sync owed) — 2 × 1.5.
 	flaky.Fail()
 	if _, err := svc.Scrub(); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.CadenceStretch(); got != 8 {
-		t.Fatalf("degraded stretch %v, want 8", got)
+	if got := svc.CadenceStretch(); got != 3 {
+		t.Fatalf("degraded stretch %v, want 3", got)
 	}
-	if got := sess.CadenceInterval(5); got != 40 {
-		t.Fatalf("degraded interval %d, want 40", got)
+	if got := sess.CadenceInterval(5); got != 15 {
+		t.Fatalf("degraded interval %d, want 15", got)
 	}
 
 	// Heal: the same pass runs the owed Sync, so its observation is
@@ -125,8 +125,8 @@ func TestScrubFeedsCadence(t *testing.T) {
 	if _, err := svc.Scrub(); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.CadenceStretch(); got != 4.5 {
-		t.Fatalf("post-heal stretch %v, want 4.5", got)
+	if got := svc.CadenceStretch(); got != 2 {
+		t.Fatalf("post-heal stretch %v, want 2", got)
 	}
 	for i := 0; i < 20; i++ {
 		if _, err := svc.Scrub(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"moc/internal/obs"
+	"moc/internal/storage"
 	"moc/internal/storage/cas"
 )
 
@@ -60,13 +61,13 @@ func (r ScrubReport) Findings() int { return r.Missing + r.Corrupt }
 
 // Scrub runs one scrub/repair pass:
 //
-//  1. Probe replica health (replicated backends only). A backend seen
-//     down marks a Sync as owed; once every backend probes healthy
-//     again, the owed anti-entropy Sync runs and converges the healed
-//     replicas — no manual Sync call anywhere. Against a sharded
-//     backend this step runs per shard (scrubShards): each shard is
-//     probed independently, owes its own Sync, and reports its own
-//     slice of the pass in Shards.
+//  1. Probe health (probeTargets): each shard of a sharded backend, or
+//     the replicas of an unsharded replicated one; a plain backend is
+//     not probed. A replica seen down marks its set's Sync as owed; once
+//     every replica of the set probes healthy again, the owed
+//     anti-entropy Sync runs and converges the healed replicas — no
+//     manual Sync call anywhere. Each shard reports its own slice of the
+//     pass in Shards.
 //  2. Audit chunk refcounts across every manifest in the store.
 //  3. Re-hash a bounded, rotating window of stored chunks against their
 //     addresses. On a replicated backend these reads take the same
@@ -83,45 +84,11 @@ func (s *Service) Scrub() (ScrubReport, error) {
 	defer s.guard.RUnlock()
 	var rep ScrubReport
 	psp := sp.Child("probe")
-	if s.rep != nil {
-		health := s.rep.Probe()
-		rep.Backends = len(health)
-		s.mu.Lock()
-		for i, err := range health {
-			down := err != nil
-			if down {
-				rep.Down++
-				s.needSync = true
-			} else if i < len(s.prevDown) && s.prevDown[i] {
-				rep.Healed++
-				s.heals++
-			}
-			if i < len(s.prevDown) {
-				s.prevDown[i] = down
-			}
-		}
-		doSync := s.needSync && rep.Down == 0
-		s.mu.Unlock()
-		if doSync {
-			n, err := s.rep.Sync()
-			if err != nil {
-				// The owed Sync stays owed; the next pass retries.
-				psp.End()
-				return rep, fmt.Errorf("fleet: scrub sync: %w", err)
-			}
-			rep.SyncCopies = n
-			s.mu.Lock()
-			s.syncCopies += int64(n)
-			s.needSync = false
-			s.mu.Unlock()
-		}
-	} else if s.sh != nil {
-		if err := s.scrubShards(&rep); err != nil {
-			psp.End()
-			return rep, err
-		}
-	}
+	err := s.probeTargets(&rep)
 	psp.End()
+	if err != nil {
+		return rep, err
+	}
 
 	asp := sp.Child("audit")
 	audit, err := s.admin.Audit()
@@ -142,7 +109,7 @@ func (s *Service) Scrub() (ScrubReport, error) {
 	rep.Corrupt = len(corruptKeys)
 
 	// Attribute integrity findings to their shards by key routing.
-	if s.sh != nil && len(rep.Shards) > 0 {
+	if len(rep.Shards) > 0 {
 		for _, h := range audit.Missing {
 			if i := s.sh.Locate(cas.ChunkKey(h)); i >= 0 && i < len(rep.Shards) {
 				rep.Shards[i].Missing++
@@ -155,8 +122,8 @@ func (s *Service) Scrub() (ScrubReport, error) {
 		}
 		s.mu.Lock()
 		for _, ss := range rep.Shards {
-			if st := s.shardState[ss.Name]; st != nil {
-				st.findings += int64(ss.Missing + ss.Corrupt)
+			if t := s.targets[ss.Name]; t != nil {
+				t.findings += int64(ss.Missing + ss.Corrupt)
 			}
 		}
 		s.mu.Unlock()
@@ -166,13 +133,9 @@ func (s *Service) Scrub() (ScrubReport, error) {
 	s.scrubs++
 	s.findings += int64(rep.Findings())
 	s.orphans = int64(rep.Orphans)
-	owed := s.needSync
-	if s.sh != nil {
-		for _, st := range s.shardState {
-			if st.needSync {
-				owed = true
-			}
-		}
+	owed := false
+	for _, t := range s.targets {
+		owed = owed || t.needSync
 	}
 	sig := HealthSignal{
 		BackendsDown:   rep.Down,
@@ -192,85 +155,70 @@ func (s *Service) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
-// scrubShards is the probe/repair half of a pass against a sharded
-// backend: every shard is probed — replicated shards through their
-// replica Probe, plain ones with a cheap Keys round-trip — health
-// transitions are tracked per shard, and a replicated shard that saw
-// downtime gets its owed anti-entropy Sync once all its replicas probe
-// healthy again. One degraded shard never blocks the others' probes.
-func (s *Service) scrubShards(rep *ScrubReport) error {
+// probeTargets is the probe/repair half of a pass: every target is
+// probed — a replica set through its replica Probe, a plain shard with
+// storage.Probe — health transitions are tracked per target, and a
+// replica set that saw downtime gets its owed anti-entropy Sync once all
+// its replicas probe healthy again. One degraded target never blocks the
+// others' probes. Shards report their slices of the pass in rep.Shards.
+func (s *Service) probeTargets(rep *ScrubReport) error {
 	s.mu.Lock()
-	names, states := s.syncShardState()
+	names, targets := s.scrubTargets()
 	s.mu.Unlock()
 	var firstErr error
-	for i, name := range names {
-		st := states[i]
-		ss := ShardScrub{Name: name}
-		if st.rep != nil {
-			health := st.rep.Probe()
-			ss.Backends = len(health)
-			s.mu.Lock()
-			for b, err := range health {
-				down := err != nil
-				if down {
-					ss.Down++
-					st.needSync = true
-				} else if b < len(st.prevDown) && st.prevDown[b] {
-					ss.Healed++
-					s.heals++
-				}
-				if b < len(st.prevDown) {
-					st.prevDown[b] = down
-				}
-			}
-			doSync := st.needSync && ss.Down == 0
-			s.mu.Unlock()
-			if doSync {
-				n, err := st.rep.Sync()
-				if err != nil {
-					// The owed Sync stays owed; the next pass retries.
-					// Other shards still get their probes and repairs.
-					if firstErr == nil {
-						firstErr = fmt.Errorf("fleet: scrub sync shard %s: %w", name, err)
-					}
-				} else {
-					ss.SyncCopies = n
-					s.mu.Lock()
-					s.syncCopies += int64(n)
-					st.needSync = false
-					s.mu.Unlock()
-				}
-			}
+	for i, t := range targets {
+		ss := ShardScrub{Name: names[i]}
+		var health []error
+		if t.rep != nil {
+			health = t.rep.Probe()
 		} else {
-			// A plain backend: one probe, no repair path — downtime is
+			// A plain shard: one probe, no repair path — downtime is
 			// surfaced, and the refcount audit reports what it cost.
-			_, err := s.sh.Shard(i).Keys(shardProbePrefix)
-			ss.Backends = 1
+			health = []error{storage.Probe(s.sh.Shard(i))}
+		}
+		ss.Backends = len(health)
+		s.mu.Lock()
+		for b, err := range health {
 			down := err != nil
-			s.mu.Lock()
 			if down {
-				ss.Down = 1
-			} else if len(st.prevDown) > 0 && st.prevDown[0] {
-				ss.Healed = 1
+				ss.Down++
+				t.needSync = t.rep != nil // a plain shard has nothing to sync
+			} else if b < len(t.prevDown) && t.prevDown[b] {
+				ss.Healed++
 				s.heals++
 			}
-			if len(st.prevDown) > 0 {
-				st.prevDown[0] = down
+			if b < len(t.prevDown) {
+				t.prevDown[b] = down
 			}
-			s.mu.Unlock()
+		}
+		doSync := t.needSync && ss.Down == 0
+		s.mu.Unlock()
+		if doSync {
+			n, err := t.rep.Sync()
+			if err != nil {
+				// The owed Sync stays owed; the next pass retries. Other
+				// targets still get their probes and repairs.
+				if firstErr == nil {
+					firstErr = fmt.Errorf("fleet: scrub sync %s: %w", names[i], err)
+				}
+			} else {
+				ss.SyncCopies = n
+				s.mu.Lock()
+				s.syncCopies += int64(n)
+				t.needSync = false
+				s.mu.Unlock()
+			}
 		}
 		rep.Backends += ss.Backends
 		rep.Down += ss.Down
 		rep.Healed += ss.Healed
 		rep.SyncCopies += ss.SyncCopies
-		rep.Shards = append(rep.Shards, ss)
+		if s.sh != nil {
+			rep.Shards = append(rep.Shards, ss)
+		}
 	}
 	return firstErr
 }
-
-// shardProbePrefix mirrors the replica package's probe key: the listing
-// is a pure round-trip liveness check.
-const shardProbePrefix = "zz/probe/"
 
 // verifySweep re-hashes up to ScrubChunksPerPass chunks, resuming where
 // the previous pass's rotating cursor stopped, and reports how many it

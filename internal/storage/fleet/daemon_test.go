@@ -75,7 +75,7 @@ func TestScrubSchedulesSyncAfterBackendHeals(t *testing.T) {
 	if syncCopies == 0 {
 		t.Fatal("no anti-entropy copies despite a replica missing four rounds")
 	}
-	for i, err := range svc.rep.Health() {
+	for i, err := range svc.backend.(repairable).Health() {
 		if err != nil {
 			t.Fatalf("backend %d unhealthy after repair: %v", i, err)
 		}
@@ -206,7 +206,7 @@ func TestBackgroundDaemonRepairsWithoutManualSync(t *testing.T) {
 	}); !ok {
 		t.Fatalf("scrub goroutine leaked: %d goroutines, baseline %d", runtime.NumGoroutine(), baseline)
 	}
-	for i, err := range svc.rep.Health() {
+	for i, err := range svc.backend.(repairable).Health() {
 		if err != nil {
 			t.Fatalf("backend %d unhealthy after daemon repair: %v", i, err)
 		}

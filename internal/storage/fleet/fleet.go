@@ -192,8 +192,7 @@ type Service struct {
 	// stats run through it. It shares the presence index and guard with
 	// every session.
 	admin *cas.Store
-	rep   repairable // nil when the backend is not replicated
-	sh    sharded    // nil when the backend is not sharded
+	sh    sharded // nil when the backend is not sharded
 	// tier is the read-serving cache hierarchy (nil unless
 	// Config.ReadTier is set); tierNodes maps job id → that job's L1
 	// handle, reused across re-acquires so adoption does not leak nodes.
@@ -207,10 +206,12 @@ type Service struct {
 	// fenced manifest commit in this process, making the fence check and
 	// the commit it guards atomic against in-process Acquire/Adopt.
 	jobLocks map[string]*sync.Mutex
-	// Scrub state (daemon.go): per-backend down flags from the previous
-	// probe, whether a Sync is owed, and lifetime counters.
-	prevDown   []bool
-	needSync   bool
+	// Scrub state (daemon.go): the probed targets and lifetime counters.
+	// A sharded backend has one target per shard, keyed by shard name so
+	// state survives membership changes reindexing the router; an
+	// unsharded replica set is the one target "replicas"; a plain
+	// backend has none.
+	targets    map[string]*scrubTarget
 	scrubs     int64
 	syncCopies int64
 	heals      int64
@@ -224,23 +225,17 @@ type Service struct {
 	// controller without re-scanning manifests.
 	cadence          *CadenceController
 	lastShardBalance float64
-	// Per-shard scrub state (sharded backends only), keyed by shard
-	// name so state survives membership changes reindexing the router:
-	// each shard's repairable handle (nil when the shard is a single
-	// backend), previous-probe down flags, owed anti-entropy flag, and
-	// lifetime integrity findings.
-	shardState map[string]*shardScrubState
 
 	daemonStop chan struct{}
 	daemonDone chan struct{}
 }
 
 // Open loads (or initializes) the fleet service over a backend. A
-// replicated backend (replica.Store) additionally enables the repair
-// half of the scrub daemon. The first scrub after Open always schedules
-// one reconciling Sync on a replicated backend: divergence that
-// happened before this service existed leaves no health transition to
-// observe.
+// replicated backend (replica.Store), or a sharded one with replicated
+// shards, additionally enables the repair half of the scrub daemon. The
+// first scrub after Open always schedules one reconciling Sync on each
+// replica set: divergence that happened before this service existed
+// leaves no health transition to observe.
 func Open(backend storage.PersistStore, cfg Config) (*Service, error) {
 	cfg.fillDefaults()
 	s := &Service{
@@ -265,14 +260,10 @@ func Open(backend storage.PersistStore, cfg Config) (*Service, error) {
 	}
 	s.admin = admin
 	if rep, ok := backend.(repairable); ok {
-		s.rep = rep
-		s.prevDown = make([]bool, rep.Backends())
-		s.needSync = true // startup reconciliation (see Open doc)
+		s.targets = map[string]*scrubTarget{"replicas": newScrubTarget(rep)}
 	} else if sh, ok := backend.(sharded); ok {
 		s.sh = sh
-		s.mu.Lock()
-		s.syncShardState()
-		s.mu.Unlock()
+		s.targets = make(map[string]*scrubTarget)
 	}
 	if g, ok := backend.(guardable); ok {
 		g.SetGuard(&s.guard)
@@ -308,51 +299,58 @@ func (s *Service) Close() error {
 	return nil
 }
 
-// shardScrubState is one shard's maintenance state.
-type shardScrubState struct {
-	rep      repairable // nil when the shard is a single backend
-	prevDown []bool
-	needSync bool
-	findings int64
+// scrubTarget is one probed unit's maintenance state.
+type scrubTarget struct {
+	rep      repairable // nil when the target is a single backend
+	prevDown []bool     // per backend, from the previous probe
+	needSync bool       // anti-entropy owed (replicated targets only)
+	findings int64      // lifetime integrity findings (shards only)
 }
 
-// syncShardState reconciles the per-shard scrub state with the
-// router's current membership (shards can be added or removed while
-// the service runs). A newly tracked replicated shard starts with a
-// Sync owed — the same startup reconciliation the unsharded path
-// applies, since divergence that predates tracking leaves no health
-// transition to observe. Caller holds s.mu; returns the current shard
-// names in router order with their states.
-func (s *Service) syncShardState() ([]string, []*shardScrubState) {
-	if s.shardState == nil {
-		s.shardState = make(map[string]*shardScrubState)
+// newScrubTarget starts tracking a target. A replicated one starts with a
+// Sync owed: divergence that predates tracking leaves no health
+// transition to observe.
+func newScrubTarget(rep repairable) *scrubTarget {
+	backends := 1
+	if rep != nil {
+		backends = rep.Backends()
+	}
+	return &scrubTarget{rep: rep, prevDown: make([]bool, backends), needSync: rep != nil}
+}
+
+// scrubTargets returns the targets in probe order with their names: the
+// router's shards in router order, reconciled with its current membership
+// (shards can be added or removed while the service runs), or the one
+// unsharded target. Caller holds s.mu.
+func (s *Service) scrubTargets() ([]string, []*scrubTarget) {
+	if s.sh == nil {
+		for name, t := range s.targets { // at most the one replica set
+			return []string{name}, []*scrubTarget{t}
+		}
+		return nil, nil
 	}
 	n := s.sh.Shards()
 	names := make([]string, n)
-	states := make([]*shardScrubState, n)
+	targets := make([]*scrubTarget, n)
 	current := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
 		name := s.sh.ShardName(i)
 		names[i] = name
 		current[name] = true
-		st := s.shardState[name]
-		if st == nil {
+		t := s.targets[name]
+		if t == nil {
 			rep, _ := s.sh.Shard(i).(repairable)
-			backends := 1
-			if rep != nil {
-				backends = rep.Backends()
-			}
-			st = &shardScrubState{rep: rep, prevDown: make([]bool, backends), needSync: rep != nil}
-			s.shardState[name] = st
+			t = newScrubTarget(rep)
+			s.targets[name] = t
 		}
-		states[i] = st
+		targets[i] = t
 	}
-	for name := range s.shardState {
+	for name := range s.targets {
 		if !current[name] {
-			delete(s.shardState, name)
+			delete(s.targets, name)
 		}
 	}
-	return names, states
+	return names, targets
 }
 
 // jobLock returns the per-job mutex. Lock ordering: the fleet guard

@@ -160,37 +160,27 @@ func (s *Service) Stats() (Stats, error) {
 	}
 	st.ScrubPasses = s.scrubs
 	st.SyncCopies = s.syncCopies
-	st.SyncOwed = s.needSync
 	st.HealsDetected = s.heals
 	st.ScrubFindings = s.findings
 	st.OrphansSeen = s.orphans
 	st.ScrubErrors = s.scrubErrs
-	for _, down := range s.prevDown {
-		if down {
-			st.BackendsDown++
+	targetNames, targets := s.scrubTargets()
+	for i, t := range targets {
+		ss := ShardStats{Name: targetNames[i], Findings: t.findings}
+		for _, down := range t.prevDown {
+			if down {
+				ss.BackendsDown++
+			}
 		}
-	}
-	if s.sh != nil {
-		names, states := s.syncShardState()
-		for i, name := range names {
-			ss := ShardStats{Name: name, Findings: states[i].findings}
-			if states[i].needSync {
-				st.SyncOwed = true
-			}
-			for _, down := range states[i].prevDown {
-				if down {
-					ss.BackendsDown++
-				}
-			}
-			st.BackendsDown += ss.BackendsDown
+		st.BackendsDown += ss.BackendsDown
+		st.SyncOwed = st.SyncOwed || t.needSync
+		if s.sh != nil {
 			st.Shards = append(st.Shards, ss)
 		}
 	}
 	s.mu.Unlock()
-	if s.rep != nil {
-		st.Repairs = s.rep.Repairs()
-	} else if rp, ok := s.backend.(interface{ Repairs() int64 }); ok {
-		// A shard router sums read-repairs across replicated shards.
+	// A replica set, or a shard router summing its replicated shards.
+	if rp, ok := s.backend.(interface{ Repairs() int64 }); ok {
 		st.Repairs = rp.Repairs()
 	}
 	if len(st.Shards) > 0 {

@@ -22,7 +22,6 @@ func (t *Tier) registerObs() {
 	gauge("readserve.l2.coalesced", func(st Stats) float64 { return float64(st.L2Coalesced) })
 	gauge("readserve.backend_gets", func(st Stats) float64 { return float64(st.BackendGets) })
 	gauge("readserve.promotions", func(st Stats) float64 { return float64(st.Promotions) })
-	gauge("readserve.cold_fetches", func(st Stats) float64 { return float64(st.ColdFetches) })
 	gauge("readserve.nodes", func(st Stats) float64 { return float64(st.Nodes) })
 }
 

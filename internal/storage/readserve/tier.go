@@ -9,14 +9,9 @@
 // promotion, the chunk moves into the requesting node's L1 without
 // touching the backend — and only an L2 miss reaches the backend, where
 // concurrent fetches of one key coalesce into a single get at every
-// level (the caches' internal singleflight plus the tier's own for
-// fetches below the admission threshold). Writes go through to the
-// backend first and warm both levels under the same admission policy.
-//
-// Admission is the tuning knob: AdmitMinHits <= 1 admits every miss
-// into the warm tier (the default — right when readers hydrate whole
-// models), while higher values admit only chunks requested repeatedly,
-// keeping one-off scans from flushing genuinely hot chunks.
+// level (the caches' internal singleflight). Every miss is admitted into
+// the warm tier — right when readers hydrate whole models. Writes go
+// through to the backend first and warm both levels.
 //
 // The tier caches whatever keys flow through it. That is safe for
 // immutable content-addressed chunks; mutable keys (manifests, fleet
@@ -40,11 +35,6 @@ type Config struct {
 	L1Bytes int64
 	// L2Bytes bounds the shared warm tier (default 256 MiB).
 	L2Bytes int64
-	// AdmitMinHits is the warm-tier admission policy: a key is admitted
-	// once it has been requested this many times. <= 1 admits on first
-	// miss (admit-on-miss, the default); higher values are
-	// admit-hot-only by access count.
-	AdmitMinHits int
 }
 
 // Stats counts tier activity since construction. Hits and misses are
@@ -65,9 +55,6 @@ type Stats struct {
 	// Promotions counts L1 misses served from the warm tier — the chunk
 	// was promoted into the requesting node's L1 without a backend get.
 	Promotions int64
-	// ColdFetches counts backend reads for keys still below the
-	// admission threshold: served (and coalesced) but not admitted.
-	ColdFetches int64
 	// Nodes is the number of attached node handles.
 	Nodes int
 }
@@ -85,31 +72,25 @@ func ratio(hits, misses int64) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// Tier is the shared half of the hierarchy: the warm L2, the admission
-// state, and the backend. Reader handles attach via NewNode. Safe for
+// Tier is the shared half of the hierarchy: the warm L2 and the
+// backend. Reader handles attach via NewNode. Safe for
 // concurrent use.
 type Tier struct {
 	backend storage.PersistStore
 	cfg     Config
-	l2      *cache.Store  // warm tier, read-through over the counted backend
-	direct  Group[[]byte] // coalesces below-threshold fetches that bypass L2
+	l2      *cache.Store // warm tier, read-through over the counted backend
 
 	backendGets atomic.Int64
 	promotions  atomic.Int64
-	coldFetches atomic.Int64
 	l2Hits      atomic.Int64
 	l2Misses    atomic.Int64
 
-	mu sync.Mutex
-	// seen counts per-key accesses for the admission threshold (nil
-	// when AdmitMinHits <= 1). Grows with the key space — simulation-
-	// scale acceptable, mirroring the cas dedup index.
-	seen  map[string]int
+	mu    sync.Mutex
 	nodes []*Node
 }
 
 // New builds a tier over the backend. Defaults: 16 MiB per-node L1,
-// 256 MiB shared L2, admit-on-miss.
+// 256 MiB shared L2.
 func New(backend storage.PersistStore, cfg Config) (*Tier, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("readserve: nil backend")
@@ -124,9 +105,6 @@ func New(backend storage.PersistStore, cfg Config) (*Tier, error) {
 		return nil, fmt.Errorf("readserve: negative cache capacity")
 	}
 	t := &Tier{backend: backend, cfg: cfg}
-	if cfg.AdmitMinHits > 1 {
-		t.seen = make(map[string]int)
-	}
 	l2, err := cache.New(&countedBackend{t: t}, cfg.L2Bytes)
 	if err != nil {
 		return nil, err
@@ -161,9 +139,8 @@ func (t *Tier) Stats() Stats {
 		L2Misses:    t.l2Misses.Load(),
 		BackendGets: t.backendGets.Load(),
 		Promotions:  t.promotions.Load(),
-		ColdFetches: t.coldFetches.Load(),
+		L2Coalesced: t.l2.Stats().Coalesced,
 	}
-	st.L2Coalesced = t.l2.Stats().Coalesced + t.direct.Coalesced()
 	t.mu.Lock()
 	nodes := append([]*Node(nil), t.nodes...)
 	t.mu.Unlock()
@@ -191,27 +168,11 @@ func (t *Tier) Drop() {
 	}
 }
 
-// admit counts an access and reports whether the key has crossed the
-// warm-tier admission threshold. Counts persist for the tier's
-// lifetime: once hot, always hot, so a key re-fetched after eviction
-// re-enters the warm tier immediately.
-func (t *Tier) admit(key string) bool {
-	if t.seen == nil {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seen[key]++
-	return t.seen[key] >= t.cfg.AdmitMinHits
-}
-
 // sharedGet serves one node's L1 miss from the shared side: a warm-tier
-// hit is a promotion; a hot miss read-throughs (and admits) via the L2;
-// a cold miss fetches the backend directly through the tier's own
-// singleflight without polluting the warm tier. The returned slice is a
-// view — the L2's own slice, or a flight's shared among its coalesced
-// waiters: immutable, and what the node's L1 keeps, so a chunk hot on
-// several nodes is resident once.
+// hit is a promotion; a miss read-throughs (and admits) via the L2. The
+// returned slice is a view — the L2's own slice, or a flight's shared
+// among its coalesced waiters: immutable, and what the node's L1 keeps,
+// so a chunk hot on several nodes is resident once.
 func (t *Tier) sharedGet(key string) ([]byte, error) {
 	if v, ok := t.l2.GetCached(key); ok {
 		t.l2Hits.Add(1)
@@ -219,24 +180,7 @@ func (t *Tier) sharedGet(key string) ([]byte, error) {
 		return v, nil
 	}
 	t.l2Misses.Add(1)
-	if t.admit(key) {
-		return t.l2.GetView(key)
-	}
-	t.coldFetches.Add(1)
-	v, _, err := t.direct.Do(key, func() ([]byte, error) {
-		return (&countedBackend{t: t}).Get(key)
-	})
-	return v, err
-}
-
-// sharedPut is the write half: write-through to the backend, warming
-// the L2 under the same admission policy as misses — a freshly
-// persisted base model's chunks are exactly what forks hydrate next.
-func (t *Tier) sharedPut(key string, data []byte) error {
-	if t.admit(key) {
-		return t.l2.Put(key, data)
-	}
-	return t.backend.Put(key, data)
+	return t.l2.GetView(key)
 }
 
 // sharedDelete removes the key everywhere: every node's L1 (cache-only
@@ -252,9 +196,8 @@ func (t *Tier) sharedDelete(key string) error {
 	return t.l2.Delete(key)
 }
 
-// countedBackend fronts the tier's backend for both the L2's
-// read-through and the cold direct path, counting every Get that
-// actually escapes the hierarchy.
+// countedBackend fronts the tier's backend for the L2's read-through,
+// counting every Get that actually escapes the hierarchy.
 type countedBackend struct {
 	t *Tier
 }
@@ -292,7 +235,7 @@ func (s *sharedLevel) Get(key string) ([]byte, error) {
 }
 
 func (s *sharedLevel) GetView(key string) ([]byte, error) { return s.t.sharedGet(key) }
-func (s *sharedLevel) Put(key string, data []byte) error  { return s.t.sharedPut(key, data) }
+func (s *sharedLevel) Put(key string, data []byte) error  { return s.t.l2.Put(key, data) }
 func (s *sharedLevel) Delete(key string) error            { return s.t.sharedDelete(key) }
 func (s *sharedLevel) Keys(p string) ([]string, error)    { return s.t.backend.Keys(p) }
 
@@ -311,7 +254,7 @@ func (n *Node) Get(key string) ([]byte, error) { return n.l1.Get(key) }
 func (n *Node) GetView(key string) ([]byte, error) { return n.l1.GetView(key) }
 
 // Put implements storage.PersistStore: write-through to the backend,
-// warming this node's L1 and the shared tier per the admission policy.
+// warming this node's L1 and the shared tier.
 func (n *Node) Put(key string, data []byte) error { return n.l1.Put(key, data) }
 
 // Delete implements storage.PersistStore, invalidating every node's L1

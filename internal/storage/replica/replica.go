@@ -402,26 +402,18 @@ func (r *Store) Repairs() int64 {
 	return r.repairs
 }
 
-// probePrefix is an improbable key prefix: a probe only needs the
-// backend round-trip to succeed or fail, not to return data.
-const probePrefix = "zz/probe/"
-
-// Probe actively checks every backend with a cheap Keys call and
-// records the outcome, returning the refreshed Health. Health alone
-// only reflects errors from organic traffic, so a backend that fails
-// and heals while reads happen to be served by earlier replicas would
-// stay marked down forever; the scrub daemon probes on a schedule to
+// Probe actively checks every backend with storage.Probe and records the
+// outcome, returning the refreshed Health. Health alone only reflects
+// errors from organic traffic, so a backend that fails and heals while
+// reads happen to be served by earlier replicas would stay marked down
+// forever; the scrub daemon probes on a schedule to
 // observe down→healthy transitions and trigger anti-entropy Sync.
 // Probe round trips feed the latency EWMA, so a scheduled probe also
 // teaches slow routing which replica is straggling before organic reads
 // have to find out.
 func (r *Store) Probe() []error {
 	for i := range r.backends {
-		err := r.access(i, func(b storage.PersistStore) error {
-			_, kerr := b.Keys(probePrefix)
-			return kerr
-		})
-		r.note(i, err)
+		r.note(i, r.access(i, storage.Probe))
 	}
 	return r.Health()
 }

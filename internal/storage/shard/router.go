@@ -337,17 +337,12 @@ func (r *Router) Keys(prefix string) ([]string, error) {
 	return out, nil
 }
 
-// probePrefix mirrors the replica package's probe key: improbable
-// enough that the listing is a pure round-trip check.
-const probePrefix = "zz/probe/"
-
-// Probe actively checks every shard with a cheap Keys call and returns
+// Probe actively checks every shard with storage.Probe and returns
 // the refreshed Health — the scrub daemon's per-shard liveness source.
 func (r *Router) Probe() []error {
 	v := r.view()
 	for i, e := range v.entries {
-		_, err := e.store.Keys(probePrefix)
-		r.note(i, err)
+		r.note(i, storage.Probe(e.store))
 	}
 	return r.Health()
 }

@@ -131,9 +131,9 @@ func TestSnapshotStoreBasics(t *testing.T) {
 	if _, err := s.Get("r0/moduleA"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted key error = %v", err)
 	}
-	s.Clear()
+	s.Delete("r0/moduleB")
 	if s.Bytes() != 0 {
-		t.Fatal("Clear left bytes behind")
+		t.Fatal("Delete left bytes behind")
 	}
 }
 
@@ -704,21 +704,21 @@ func TestSnapshotStoreAdoptSharesAndReturnsTheOldBuffer(t *testing.T) {
 	if got, _ := s.Get("k"); string(got) != "round-01" || s.Bytes() != 8 {
 		t.Fatalf("store holds %q (%d bytes)", got, s.Bytes())
 	}
-	dropped := s.Clear()
-	if len(dropped) != 1 || &dropped[0][0] != secondAt || s.Bytes() != 0 {
-		t.Fatalf("clear dropped %d buffers, %d bytes left", len(dropped), s.Bytes())
+	last := s.Adopt("k", CopyBuf([]byte("round-2")))
+	if len(last) == 0 || &last[0] != secondAt || s.Bytes() != 7 {
+		t.Fatalf("second replacement handed back the wrong buffer, %d bytes resident", s.Bytes())
 	}
-	PutBuf(dropped[0])
+	PutBuf(last)
 }
 
 // TestSnapshotStoreNeverRecyclesALentBuffer: a buffer handed out by Lend
-// is the stored one, and no way a slot lets go of it — Adopt, Put, Delete,
-// Clear — returns or pools it while the loan is open; once EndLoans has
+// is the stored one, and no way a slot lets go of it — Adopt, Put, Delete —
+// returns or pools it while the loan is open; once EndLoans has
 // been called the slot hands its buffer back as before.
 func TestSnapshotStoreNeverRecyclesALentBuffer(t *testing.T) {
 	s := NewSnapshotStore()
 	at := map[string]*byte{}
-	for _, k := range []string{"adopt", "put", "delete", "clear", "ended", "kept"} {
+	for _, k := range []string{"adopt", "put", "delete", "ended", "kept"} {
 		b := CopyBuf([]byte("state-of-" + k))
 		at[k] = &b[0]
 		s.Adopt(k, b)
@@ -727,7 +727,7 @@ func TestSnapshotStoreNeverRecyclesALentBuffer(t *testing.T) {
 		t.Fatalf("lend of a missing key: %v", err)
 	}
 	lent := map[string][]byte{}
-	for _, k := range []string{"adopt", "put", "delete", "clear"} {
+	for _, k := range []string{"adopt", "put", "delete"} {
 		b, err := s.Lend(k)
 		if err != nil || &b[0] != at[k] {
 			t.Fatalf("%s: lend returned a copy (%v)", k, err)
@@ -773,15 +773,4 @@ func TestSnapshotStoreNeverRecyclesALentBuffer(t *testing.T) {
 		t.Fatal("after EndLoans a replaced slot must hand its buffer back")
 	}
 	PutBuf(old)
-	if _, err := s.Lend("clear"); err != nil { // EndLoans ended this one too
-		t.Fatal(err)
-	}
-	for _, b := range s.Clear() {
-		if &b[0] == at["clear"] {
-			t.Fatal("Clear returned a lent buffer")
-		}
-	}
-	if string(lent["clear"]) != "state-of-clear" || s.Bytes() != 0 {
-		t.Fatalf("after Clear: lent %q, %d bytes resident", lent["clear"], s.Bytes())
-	}
 }

@@ -32,6 +32,15 @@ type PersistStore interface {
 	Keys(prefix string) ([]string, error)
 }
 
+// Probe is a liveness round trip: a Keys call under a prefix nothing is
+// stored under, so only the backend's answer matters, not its data. The
+// replica set's and the shard router's health probes and the fleet
+// scrub's probe of a plain shard all use it.
+func Probe(s PersistStore) error {
+	_, err := s.Keys("zz/probe/")
+	return err
+}
+
 // OwnedPutter named a second write method from before Put promised not to
 // retain. Nothing in the tree implements or probes for it.
 //
@@ -68,14 +77,13 @@ type Sharder interface {
 }
 
 // SnapshotStore is a CPU-memory key-value store holding in-memory
-// checkpoint snapshots on one node. Contents are lost when the node fails
-// (simulated via Clear).
+// checkpoint snapshots on one node.
 type SnapshotStore struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte
 	bytes int64
 	// lent holds the keys whose current buffer Lend has handed out since
-	// the last EndLoans. Such a buffer is never returned by Adopt or Clear
+	// the last EndLoans. Such a buffer is never returned by Adopt
 	// nor recycled by Put or Delete: a slot that lets go of it leaves it to
 	// the garbage collector, its borrower may still be reading it.
 	lent map[string]bool
@@ -182,25 +190,6 @@ func (s *SnapshotStore) Keys(prefix string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// Clear simulates a node failure: all in-memory snapshots are lost. The
-// dropped buffers are returned and belong to the caller, who knows whether
-// anything (a persist job sharing an adopted buffer) still reads them;
-// buffers on loan are not among them.
-func (s *SnapshotStore) Clear() [][]byte {
-	s.mu.Lock()
-	dropped := make([][]byte, 0, len(s.blobs))
-	for k, b := range s.blobs {
-		if !s.lent[k] {
-			dropped = append(dropped, b)
-		}
-	}
-	s.blobs = make(map[string][]byte)
-	clear(s.lent)
-	s.bytes = 0
-	s.mu.Unlock()
-	return dropped
 }
 
 // Bytes returns the resident snapshot volume.

@@ -15,11 +15,9 @@ import (
 	"moc/internal/storage/readserve"
 )
 
-// ReadTierConfig tunes a ReadTier: the per-node L1 and shared L2 bounds
-// and the warm-tier admission policy (AdmitMinHits <= 1 admits every
-// miss — right when readers hydrate whole models; higher values admit
-// only repeatedly requested chunks, so one-off scans cannot flush
-// genuinely hot ones).
+// ReadTierConfig tunes a ReadTier: the per-node L1 and shared L2
+// bounds. The warm tier admits every miss — right when readers hydrate
+// whole models.
 type ReadTierConfig = readserve.Config
 
 // ReadTierStats counts tier activity since construction.

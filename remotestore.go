@@ -98,23 +98,14 @@ func CalibratePersist(cfg RemoteConfig, checkpointBytes int64, chunkSize, worker
 	return remote.Calibrate(cfg, checkpointBytes, cas.Options{ChunkSize: chunkSize, Workers: workers})
 }
 
-// StoreTuning is the checkpoint store's full performance shape: chunker
-// and chunk-size bounds plus the persist-pipeline and recovery widths.
-// Zero values take the store defaults. It mirrors the tuning fields of
-// Config (PersistWorkers/HashWorkers/RecoverWorkers) so a restore pool
-// can open a store with exactly the writing System's configuration.
+// StoreTuning is the checkpoint store's data shape: chunk length (fixed)
+// or average target (CDC), and the chunker. Zero values take the store
+// defaults, as the writing System does, so a restore pool opens a store
+// with exactly its configuration; pipeline and recovery widths are the
+// store defaults on both sides.
 type StoreTuning struct {
-	// ChunkSize is the chunk length (fixed) or average target (CDC);
-	// Chunking selects the chunker.
 	ChunkSize int
 	Chunking  Chunking
-	// Workers is the striped put fan-out, HashWorkers the hashing
-	// fan-out of the persist pipeline, ReadWorkers the backend requests
-	// one read-side call (a recovery, an open, a GC sweep) keeps in
-	// flight.
-	Workers     int
-	HashWorkers int
-	ReadWorkers int
 }
 
 func (t StoreTuning) toCAS() (cas.Options, error) {
@@ -122,11 +113,5 @@ func (t StoreTuning) toCAS() (cas.Options, error) {
 	if err != nil {
 		return cas.Options{}, err
 	}
-	return cas.Options{
-		ChunkSize:   t.ChunkSize,
-		Chunking:    mode,
-		Workers:     t.Workers,
-		HashWorkers: t.HashWorkers,
-		ReadWorkers: t.ReadWorkers,
-	}, nil
+	return cas.Options{ChunkSize: t.ChunkSize, Chunking: mode}, nil
 }

@@ -213,21 +213,6 @@ type Config struct {
 	// edits to module payloads). Stores written with either mode stay
 	// readable regardless of this setting.
 	Chunking Chunking
-	// PersistWorkers is the checkpoint store's striped put fan-out: how
-	// many chunk writes a round offers the persist backend at once, the
-	// backend's own admission deciding how many proceed (0 = the store
-	// default, 16 — the same width as RecoverWorkers).
-	PersistWorkers int
-	// HashWorkers is the chunk-hashing fan-out of the persist pipeline
-	// (0 = GOMAXPROCS, capped at 8). Hashing, dedup filtering, and
-	// backend puts run as overlapped stages.
-	HashWorkers int
-	// RecoverWorkers bounds the backend requests a recovery keeps in
-	// flight (0 = the store default, 16). A whole recovery is one flat
-	// read plan, and reopening the store loads its manifests at the
-	// same width, so this is the peak concurrency offered to the
-	// persist backend on the read side.
-	RecoverWorkers int
 
 	// --- observability ---
 
@@ -275,9 +260,6 @@ func (c Config) Validate() error {
 	}
 	if c.Interval < 0 {
 		return fmt.Errorf("moc: negative checkpoint interval")
-	}
-	if c.PersistWorkers < 0 || c.HashWorkers < 0 || c.RecoverWorkers < 0 {
-		return fmt.Errorf("moc: negative checkpoint-store worker count")
 	}
 	if _, err := c.Chunking.toCAS(); err != nil {
 		return err
@@ -417,12 +399,7 @@ func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Ses
 	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
-	casOpts := cas.Options{
-		Chunking:    chunking,
-		Workers:     cfg.PersistWorkers,
-		HashWorkers: cfg.HashWorkers,
-		ReadWorkers: cfg.RecoverWorkers,
-	}
+	casOpts := cas.Options{Chunking: chunking}
 	if sess != nil {
 		store = sess.Backend()
 		casOpts = sess.Options(casOpts)
@@ -664,10 +641,13 @@ func (s *System) RunTo(iteration int) (float64, error) {
 func (s *System) expertNode(expert int) int { return expert % s.cfg.Nodes }
 
 // InjectFault simulates a node failure followed by recovery: in-flight
-// checkpoints complete, the failed node's in-memory snapshots are lost,
-// the model is restored (two-level when configured), training rewinds to
-// the recovered iteration, and the PLT ledger records the loss. Failed
-// nodes rotate round-robin across calls.
+// checkpoints complete, the model is restored (two-level when configured:
+// surviving nodes' experts from their in-memory snapshots, the failed
+// node's from storage), training rewinds to the recovered iteration, and
+// the PLT ledger records the loss. Failed nodes rotate round-robin across
+// calls. The failed node's snapshots are only skipped by this recovery,
+// not dropped: they stay resident and can serve a later two-level
+// recovery.
 func (s *System) InjectFault() error {
 	if s.closed {
 		return fmt.Errorf("moc: system closed")
