@@ -515,9 +515,14 @@ func BenchmarkDedupCDCvsFixed(b *testing.B) {
 	}
 	for _, wl := range workloads {
 		b.Run(wl.name, func(b *testing.B) {
+			// Edits draw from one seeded RNG, so they are applied in a
+			// fixed module order: ranging over the map would hand each
+			// draw to a random module and move the ratios run to run.
+			names := make([]string, moduleCount)
 			base := make(map[string][]byte, moduleCount)
-			for m := 0; m < moduleCount; m++ {
-				base[fmt.Sprintf("m%02d", m)] = uniqueBlob(uint64(m)+1, moduleBytes)
+			for m := range names {
+				names[m] = fmt.Sprintf("m%02d", m)
+				base[names[m]] = uniqueBlob(uint64(m)+1, moduleBytes)
 			}
 			runSeq := func(mode cas.Chunking) float64 {
 				store, err := cas.Open(storage.NewMemStore(), cas.Options{
@@ -534,7 +539,7 @@ func BenchmarkDedupCDCvsFixed(b *testing.B) {
 				var afterBootstrap cas.Stats
 				for r := 0; r < rounds; r++ {
 					if r > 0 {
-						for k := range mods {
+						for _, k := range names {
 							mods[k] = wl.mutate(mut, mods[k])
 						}
 					}

@@ -260,6 +260,9 @@ func TestChaosStragglerReadRouting(t *testing.T) {
 	if repl.Repairs() != 0 {
 		t.Errorf("%d read-repairs during a slow-only fault — straggler must not diverge", repl.Repairs())
 	}
+	if r0.Metrics().DegradedOps == 0 {
+		t.Error("no operation was served degraded during the straggler window")
+	}
 }
 
 // TestChaosPartitionHealCadence partitions one replica mid-run and

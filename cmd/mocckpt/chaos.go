@@ -2,9 +2,9 @@ package main
 
 // The chaos subcommand validates a timed fault scenario and prints its
 // replay timeline — the dry run an operator reviews before pointing the
-// same schedule at a live harness (examples/elastic_fleet, or a test's
-// moc.NewChaos). It needs no checkpoint directory: the scenario is the
-// input.
+// same schedule at a live harness (moc.NewChaos; chaos_e2e_test.go
+// drives such scenarios against a fleet). It needs no checkpoint
+// directory: the scenario is the input.
 //
 //	mocckpt chaos -preempt 100:30:3 -straggle 1:40:80 -partition 2:50:70
 //
@@ -13,14 +13,31 @@ package main
 // exactly as moc.NewChaos replays them.
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	"moc"
 )
+
+// triple parses "a:b:c" into three integers.
+func triple(s string) ([3]int, error) {
+	var out [3]int
+	parts := strings.Split(s, ":")
+	if len(parts) != 3 {
+		return out, fmt.Errorf("%q: want three colon-separated integers", s)
+	}
+	for i, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil {
+			return out, fmt.Errorf("%q: %v", s, err)
+		}
+		out[i] = n
+	}
+	return out, nil
+}
 
 // parseWindows parses "target:start:end[,target:start:end...]" into
 // events of the given kind.
@@ -30,54 +47,40 @@ func parseWindows(kind moc.ChaosKind, spec string) ([]moc.ChaosEvent, error) {
 	}
 	var out []moc.ChaosEvent
 	for _, w := range strings.Split(spec, ",") {
-		parts := strings.Split(w, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("window %q: want target:start:end", w)
+		t, err := triple(w)
+		if err != nil {
+			return nil, fmt.Errorf("window %v", err)
 		}
-		nums := make([]int, 3)
-		for i, p := range parts {
-			n, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("window %q: %v", w, err)
-			}
-			nums[i] = n
-		}
-		out = append(out, moc.ChaosEvent{Kind: kind, Target: nums[0], Start: nums[1], End: nums[2]})
+		out = append(out, moc.ChaosEvent{Kind: kind, Target: t[0], Start: t[1], End: t[2]})
 	}
 	return out, nil
 }
 
-func runChaos(args []string) int {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
+func runChaos(c *cli) error {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
 	preempt := fs.String("preempt", "", "preemption wave as at:dur:n — jobs 0..n-1 preempted at iteration `at`, capacity back after dur")
 	straggle := fs.String("straggle", "", "straggler windows target:start:end[,...] — backend slow, not dead")
 	partition := fs.String("partition", "", "partition windows target:start:end[,...] — replica cut off, heals with state")
 	down := fs.String("down", "", "outage windows target:start:end[,...] — backend down outright")
-	fs.Parse(args)
+	if err := fs.Parse(c.args); err != nil {
+		return usageError{err}
+	}
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "mocckpt chaos: unexpected arguments %v\n", fs.Args())
-		return 2
+		return usageError{fmt.Errorf("chaos: unexpected arguments %v", fs.Args())}
 	}
 
 	var events []moc.ChaosEvent
 	if *preempt != "" {
-		parts := strings.Split(*preempt, ":")
-		if len(parts) != 3 {
-			fmt.Fprintf(os.Stderr, "mocckpt chaos: -preempt %q: want at:dur:n\n", *preempt)
-			return 2
+		t, err := triple(*preempt)
+		if err != nil || t[2] < 1 {
+			return usageError{fmt.Errorf("chaos: -preempt %q: want at:dur:n with n >= 1", *preempt)}
 		}
-		at, err1 := strconv.Atoi(parts[0])
-		dur, err2 := strconv.Atoi(parts[1])
-		n, err3 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "mocckpt chaos: -preempt %q: want at:dur:n with n >= 1\n", *preempt)
-			return 2
-		}
-		targets := make([]int, n)
+		targets := make([]int, t[2])
 		for i := range targets {
 			targets[i] = i
 		}
-		events = append(events, moc.PreemptionWaveEvents(at, dur, targets...)...)
+		events = append(events, moc.PreemptionWaveEvents(t[0], t[1], targets...)...)
 	}
 	for _, spec := range []struct {
 		kind moc.ChaosKind
@@ -89,25 +92,22 @@ func runChaos(args []string) int {
 	} {
 		evs, err := parseWindows(spec.kind, spec.arg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mocckpt chaos: %v\n", err)
-			return 2
+			return usageError{fmt.Errorf("chaos: %w", err)}
 		}
 		events = append(events, evs...)
 	}
 	if len(events) == 0 {
-		fmt.Fprintln(os.Stderr, "mocckpt chaos: empty scenario (give -preempt, -straggle, -partition, or -down)")
-		return 2
+		return usageError{errors.New("chaos: empty scenario (give -preempt, -straggle, -partition, or -down)")}
 	}
 
 	chaos, err := moc.NewChaos(moc.ChaosConfig{Events: events})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mocckpt chaos: %v\n", err)
-		return 2
+		return usageError{fmt.Errorf("chaos: %w", err)}
 	}
 	ordered := chaos.Events()
-	fmt.Printf("scenario: %d events, horizon %d iterations\n\n", len(ordered), chaos.Horizon())
+	fmt.Fprintf(c.out, "scenario: %d events, horizon %d iterations\n\n", len(ordered), chaos.Horizon())
 	for _, line := range moc.ChaosTimeline(ordered) {
-		fmt.Println(line)
+		fmt.Fprintln(c.out, line)
 	}
 	// Peak concurrency tells the operator how degraded the worst
 	// iteration is — every window active at once is a very different
@@ -118,6 +118,6 @@ func runChaos(args []string) int {
 			peakIt, peak = it, n
 		}
 	}
-	fmt.Printf("\npeak: %d concurrent faults at iteration %d\n", peak, peakIt)
-	return 0
+	fmt.Fprintf(c.out, "\npeak: %d concurrent faults at iteration %d\n", peak, peakIt)
+	return nil
 }

@@ -14,75 +14,39 @@
 //	                                     # time-to-restored-model
 //	mocckpt -dir /path/to/ckpts jobs     # fleet job registry, per-job
 //	                                     # volumes, cross-job dedup ratio
-//	mocckpt vet [packages]               # project-invariant static
-//	                                     # analysis (the mocvet registry
-//	                                     # run in-process; see
-//	                                     # internal/analysis)
-//	mocckpt chaos -preempt 100:30:3 ...  # validate a timed fault scenario
-//	                                     # and print its replay timeline
-//	                                     # (see chaos.go)
 //	mocckpt -dir /path/to/ckpts top      # metrics-registry snapshot after
 //	                                     # a read replay; -watch samples
 //	                                     # per-tier counter rates live
-//	mocckpt trace -o trace.json          # persist/restore probe under the
-//	                                     # span tracer; exports a Chrome
-//	                                     # trace-event timeline (see top.go)
 //	mocckpt -dir /path/to/ckpts -shards 4 shards
 //	                                     # per-shard distribution, balance
 //	                                     # factor, misplaced keys
+//	mocckpt chaos -preempt 100:30:3 ...  # validate a timed fault scenario
+//	                                     # and print its replay timeline
+//	                                     # (see chaos.go)
+//	mocckpt trace -o trace.json          # persist/restore probe under the
+//	                                     # span tracer; exports a Chrome
+//	                                     # trace-event timeline (see top.go)
 //
-// Sharded stores (moc.NewShardedStore over FSStores) live as shard-000,
-// shard-001, ... subdirectories of one root. -shards N opens the same
-// consistent-hash router over them, so every subcommand sees the
-// combined keyspace exactly as the writing process did; the shards
-// subcommand then reports each shard's slice of it — chunk and byte
-// counts, the balance factor (max/mean bytes), and any keys sitting on
-// a shard the ring no longer routes them to (an interrupted rebalance).
-//
-// Multi-job (fleet) stores hold several writers' manifests in one chunk
-// namespace: list and stats aggregate them into one dedup line and add
-// a per-writer breakdown; -writer restricts list/inspect/stats to one
-// writer's manifests; jobs reads the fleet registry (lineage, lease
-// epochs) and reports each job's logical/chunk volumes plus the
-// cross-job dedup ratio — what sharing one store saves over per-job
-// stores.
-//
-// "compact" is accepted as an alias of "gc". inspect and stats report
-// the manifests' chunking mode(s) ("fixed" or "cdc" content-defined
-// boundaries) and a power-of-two histogram of unique chunk sizes —
-// fixed-size stores show one spike at the chunk size (plus blob tails),
-// CDC stores a spread between the min/max bounds. stats replays a full
-// recovery twice through the simulated storage stack — the directory
-// behind an object-store cost model behind an LRU chunk cache — and
-// prints the dedup ratio, the cold/warm cache hit rates, and the remote
-// op/byte/retry counters the replay cost. -cache-mb, -latency-ms,
-// -upload-mbps and -download-mbps shape the stack. stats finishes with
-// a persist probe: the newest round is rewritten into a fresh in-memory
-// store twice, printing the pipeline's cold and unchanged-round MB/s
-// and its stage counters (chunks hashed / written / deduped, modules
-// skipped by the unchanged-module fast path).
-//
-// restore is the read-serving probe: -readers reader nodes — each with
-// a private L1 cache over one shared warm L2 (-l1-mb / -cache-mb) over
-// the directory behind the same object-store cost model — concurrently
-// restore the newest round -restores times each. It prints each tier's
-// hit ratio and coalescing counters, the backend's cold/repeat get
-// split, and the p50/p99 time-to-restored-model across all restores.
-// The remote model really sleeps its simulated cost here (SleepScale 1)
-// so the percentiles reflect the configured latency and bandwidth; use
-// a small -latency-ms for quick probes.
+// Global flags go before the subcommand (mocckpt -h lists them):
+// -shards N opens the shard-000, shard-001, ... subdirectories a
+// sharded store writes as one store, -writer narrows list, inspect and
+// stats to one job of a multi-job store, and -cache-mb, -latency-ms,
+// -upload-mbps and -download-mbps shape the simulated storage stack
+// that stats, restore and top replay through. "compact" is an alias of
+// "gc". Each subcommand's function documents what it prints.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
-
 	"sync"
+	"time"
 
 	"moc/internal/core"
 	"moc/internal/simtime"
@@ -96,129 +60,109 @@ import (
 	"moc/internal/storage/shard"
 )
 
+// cli is one invocation: where output goes, the global flags, the
+// arguments after the subcommand, and — for a subcommand that reads a
+// checkpoint directory — the opened store.
+type cli struct {
+	out, stderr                         io.Writer
+	dir, writer                         string
+	shards, cacheMB, l1MB               int
+	latencyMS, uploadMBps, downloadMBps float64
+	readers, restores, ticks            int
+	watch                               bool
+	intervalS                           float64
+	args                                []string
+
+	store  storage.PersistStore
+	router *shard.Router // nil unless -shards opened a sharded store
+}
+
+// subcommands is every mocckpt subcommand. One with store set reads the
+// -dir store and takes no arguments (its flags go before the
+// subcommand); one without parses its own flags from c.args.
+var subcommands = map[string]struct {
+	store bool
+	run   func(c *cli) error
+}{
+	"list":    {true, func(c *cli) error { return list(c, false) }},
+	"inspect": {true, func(c *cli) error { return list(c, true) }},
+	"verify":  {true, verify},
+	"gc":      {true, gc},
+	"compact": {true, gc},
+	"stats":   {true, stats},
+	"restore": {true, restoreProbe},
+	"top":     {true, runTop},
+	"jobs":    {true, jobs},
+	"shards":  {true, shardsView},
+	"chaos":   {false, runChaos},
+	"trace":   {false, runTrace},
+}
+
+const usage = "usage: mocckpt [flags] -dir <path> {list|inspect|verify|gc|stats|restore|top|jobs|shards} | mocckpt chaos [flags] | mocckpt trace [flags]"
+
+// usageError is a malformed command line: exit 2 rather than 1.
+type usageError struct{ error }
+
 func main() {
-	dir := flag.String("dir", "", "checkpoint directory (FSStore root)")
-	shardCount := flag.Int("shards", 0, "open <dir>/shard-000..shard-NNN as one consistent-hash sharded store (0 = unsharded)")
-	writer := flag.String("writer", "", "list/inspect/stats: restrict to one writer's manifests")
-	cacheMB := flag.Int("cache-mb", 64, "stats: LRU chunk-cache capacity in MiB; restore: shared L2 capacity")
-	latencyMS := flag.Float64("latency-ms", 20, "stats/restore: remote per-request latency in ms")
-	uploadMBps := flag.Float64("upload-mbps", 256, "stats/restore: remote upload bandwidth in MiB/s")
-	downloadMBps := flag.Float64("download-mbps", 512, "stats/restore: remote download bandwidth in MiB/s")
-	readers := flag.Int("readers", 8, "restore: concurrent reader nodes")
-	restores := flag.Int("restores", 3, "restore: sequential restores per reader")
-	l1MB := flag.Int("l1-mb", 16, "restore: per-reader L1 cache capacity in MiB")
-	watch := flag.Bool("watch", false, "top: sample the registry repeatedly while a replay loop drives load (default one-shot)")
-	intervalS := flag.Float64("interval", 1.0, "top: -watch sampling interval in seconds")
-	ticks := flag.Int("ticks", 5, "top: -watch samples before exiting")
-	flag.Parse()
-	cmd := flag.Arg(0)
-	// vet works on a source tree and chaos on a scenario spec, not a
-	// checkpoint directory: dispatch before the -dir requirement, each
-	// with its own flag set.
-	if cmd == "vet" {
-		os.Exit(runVet(flag.Args()[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := &cli{out: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("mocckpt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.dir, "dir", "", "checkpoint directory (FSStore root)")
+	fs.IntVar(&c.shards, "shards", 0, "open <dir>/shard-000..shard-NNN as one consistent-hash sharded store (0 = unsharded)")
+	fs.StringVar(&c.writer, "writer", "", "list/inspect/stats: restrict to one writer's manifests")
+	fs.IntVar(&c.cacheMB, "cache-mb", 64, "stats: LRU chunk-cache capacity in MiB; restore: shared L2 capacity")
+	fs.Float64Var(&c.latencyMS, "latency-ms", 20, "stats/restore/top: remote per-request latency in ms")
+	fs.Float64Var(&c.uploadMBps, "upload-mbps", 256, "stats/restore/top: remote upload bandwidth in MiB/s")
+	fs.Float64Var(&c.downloadMBps, "download-mbps", 512, "stats/restore/top: remote download bandwidth in MiB/s")
+	fs.IntVar(&c.readers, "readers", 8, "restore: concurrent reader nodes")
+	fs.IntVar(&c.restores, "restores", 3, "restore: sequential restores per reader")
+	fs.IntVar(&c.l1MB, "l1-mb", 16, "restore: per-reader L1 cache capacity in MiB")
+	fs.BoolVar(&c.watch, "watch", false, "top: sample the registry repeatedly while a replay loop drives load (default one-shot)")
+	fs.Float64Var(&c.intervalS, "interval", 1.0, "top: -watch sampling interval in seconds")
+	fs.IntVar(&c.ticks, "ticks", 5, "top: -watch samples before exiting")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if cmd == "chaos" {
-		os.Exit(runChaos(flag.Args()[1:]))
+	name := fs.Arg(0)
+	sub, ok := subcommands[name]
+	if !ok {
+		if name != "" {
+			fmt.Fprintf(stderr, "mocckpt: unknown command %q\n", name)
+		}
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
-	if cmd == "trace" {
-		os.Exit(runTrace(flag.Args()[1:]))
+	c.args = fs.Args()[1:]
+	if sub.store {
+		if c.dir == "" {
+			fmt.Fprintln(stderr, usage)
+			return 2
+		}
+		// Go's flag parsing stops at the first positional argument, so
+		// flags placed after the subcommand would be silently ignored —
+		// and the cost-model numbers would silently lie. Reject them.
+		if len(c.args) > 0 {
+			fmt.Fprintf(stderr, "mocckpt: unexpected arguments after %q: %v (flags go before the subcommand)\n", name, c.args)
+			return 2
+		}
+		var err error
+		if c.store, c.router, err = openStore(c.dir, c.shards); err != nil {
+			fmt.Fprintln(stderr, "mocckpt:", err)
+			return 1
+		}
 	}
-	if *dir == "" || cmd == "" {
-		fmt.Fprintln(os.Stderr, "usage: mocckpt [flags] -dir <path> {list|inspect|verify|gc|stats|restore|top|jobs|shards} | mocckpt vet [packages] | mocckpt chaos [flags] | mocckpt trace [flags]")
-		os.Exit(2)
+	if err := sub.run(c); err != nil {
+		fmt.Fprintln(stderr, "mocckpt:", err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
+		return 1
 	}
-	// Go's flag parsing stops at the first positional argument, so flags
-	// placed after the subcommand would be silently ignored — and the
-	// cost-model numbers would silently lie. Reject them instead.
-	if flag.NArg() > 1 {
-		fmt.Fprintf(os.Stderr, "mocckpt: unexpected arguments after %q: %v (flags go before the subcommand)\n",
-			cmd, flag.Args()[1:])
-		os.Exit(2)
-	}
-	store, router, err := openStore(*dir, *shardCount)
-	if err != nil {
-		fatal(err)
-	}
-	switch cmd {
-	case "shards":
-		if err := shardsView(router); err != nil {
-			fatal(err)
-		}
-	case "list":
-		if err := list(store, false, *writer); err != nil {
-			fatal(err)
-		}
-	case "inspect":
-		if err := list(store, true, *writer); err != nil {
-			fatal(err)
-		}
-	case "jobs":
-		if err := jobs(store); err != nil {
-			fatal(err)
-		}
-	case "verify":
-		agent := openAgent(store)
-		defer agent.Close()
-		n, rep, err := agent.VerifyAudit()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("OK: %d recoverable blobs verified (latest complete round %d)\n",
-			n, agent.LatestCompleteRound())
-		fmt.Printf("refcount audit: %d rounds, %d manifests, %d module entries\n",
-			rep.Rounds, rep.Manifests, rep.Modules)
-		fmt.Printf("  %d chunks stored, %d referenced (%d references total)\n",
-			rep.ChunksStored, rep.ChunksReferenced, rep.RefTotal)
-		if len(rep.Orphans) > 0 {
-			fmt.Printf("  %d orphan chunks (unreferenced; reclaim with 'gc')\n", len(rep.Orphans))
-		}
-		// The recoverable-blob pass reads each module NAME's newest copy;
-		// on a multi-job store several writers reuse the same names, so
-		// chunks exclusive to another job's lineage are never read back.
-		// Re-hash every stored chunk so corruption anywhere is caught.
-		if err := verifyChunks(store); err != nil {
-			fatal(err)
-		}
-	case "stats":
-		// The remote cost model treats zero as "use the default", so a
-		// zero flag would silently charge the default cost instead of
-		// none — reject it rather than lie in the printed numbers.
-		if *cacheMB <= 0 || *latencyMS <= 0 || *uploadMBps <= 0 || *downloadMBps <= 0 {
-			fatal(fmt.Errorf("stats: -cache-mb, -latency-ms, -upload-mbps and -download-mbps must be positive (use a small value like 0.001 to model a near-free remote)"))
-		}
-		if err := stats(store, router, *cacheMB, *latencyMS, *uploadMBps, *downloadMBps, *writer); err != nil {
-			fatal(err)
-		}
-	case "restore":
-		if *cacheMB <= 0 || *l1MB <= 0 || *latencyMS <= 0 || *uploadMBps <= 0 || *downloadMBps <= 0 {
-			fatal(fmt.Errorf("restore: -cache-mb, -l1-mb, -latency-ms, -upload-mbps and -download-mbps must be positive (use a small value like 0.001 to model a near-free remote)"))
-		}
-		if *readers <= 0 || *restores <= 0 {
-			fatal(fmt.Errorf("restore: -readers and -restores must be positive"))
-		}
-		if err := restoreProbe(store, *readers, *restores, *l1MB, *cacheMB, *latencyMS, *uploadMBps, *downloadMBps); err != nil {
-			fatal(err)
-		}
-	case "top":
-		if *cacheMB <= 0 || *latencyMS <= 0 || *uploadMBps <= 0 || *downloadMBps <= 0 {
-			fatal(fmt.Errorf("top: -cache-mb, -latency-ms, -upload-mbps and -download-mbps must be positive"))
-		}
-		if *intervalS <= 0 || *ticks <= 0 {
-			fatal(fmt.Errorf("top: -interval and -ticks must be positive"))
-		}
-		if err := runTop(store, *watch, time.Duration(*intervalS*float64(time.Second)), *ticks,
-			*cacheMB, *latencyMS, *uploadMBps, *downloadMBps); err != nil {
-			fatal(err)
-		}
-	case "gc", "compact":
-		if err := gc(store); err != nil {
-			fatal(err)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "mocckpt: unknown command %q\n", cmd)
-		os.Exit(2)
-	}
+	return 0
 }
 
 // openStore opens the directory as a plain FSStore, or — with -shards
@@ -250,11 +194,12 @@ func openStore(dir string, shards int) (storage.PersistStore, *shard.Router, err
 // and bytes, manifests, the balance factor, and misplaced keys — keys
 // stored on a shard the ring no longer routes them to, the footprint an
 // interrupted rebalance leaves behind.
-func shardsView(r *shard.Router) error {
+func shardsView(c *cli) error {
+	r := c.router
 	if r == nil {
 		return fmt.Errorf("the shards view needs -shards N (N > 1) to open a sharded store")
 	}
-	fmt.Printf("%-12s %-8s %-14s %-10s %-8s %s\n",
+	fmt.Fprintf(c.out, "%-12s %-8s %-14s %-10s %-8s %s\n",
 		"shard", "chunks", "chunk-bytes", "manifests", "other", "misplaced")
 	var totalBytes, maxBytes int64
 	var totalMisplaced int
@@ -287,56 +232,40 @@ func shardsView(r *shard.Router) error {
 		if bytes > maxBytes {
 			maxBytes = bytes
 		}
-		fmt.Printf("%-12s %-8d %-14d %-10d %-8d %d\n",
+		fmt.Fprintf(c.out, "%-12s %-8d %-14d %-10d %-8d %d\n",
 			r.ShardName(i), chunks, bytes, manifests, other, misplaced)
 	}
 	if totalBytes > 0 {
 		mean := float64(totalBytes) / float64(n)
-		fmt.Printf("\nbalance factor: %.2f (max/mean chunk bytes; 1.00 = perfectly even)\n",
+		fmt.Fprintf(c.out, "\nbalance factor: %.2f (max/mean chunk bytes; 1.00 = perfectly even)\n",
 			float64(maxBytes)/mean)
 	}
 	if totalMisplaced > 0 {
-		fmt.Printf("%d keys sit on shards the ring does not route them to — an interrupted\nrebalance; re-run the membership change and Rebalance to finish it\n", totalMisplaced)
+		fmt.Fprintf(c.out, "%d keys sit on shards the ring does not route them to — an interrupted\nrebalance; re-run the membership change and Rebalance to finish it\n", totalMisplaced)
 	}
 	return nil
 }
 
-func openAgent(store storage.PersistStore) *core.Agent {
-	agent, err := core.NewAgent(storage.NewSnapshotStore(), store, 2)
-	if err != nil {
-		fatal(err)
-	}
-	return agent
-}
-
 // list prints the per-round manifest summary; detailed mode adds
-// per-module chunk breakdowns and store-wide dedup accounting. A
-// non-empty writerFilter restricts the view to that writer's manifests
-// (multi-job stores hold several writers in one chunk namespace).
-func list(store storage.PersistStore, detailed bool, writerFilter string) error {
-	cs, err := cas.Open(store, cas.Options{})
+// per-module chunk breakdowns and store-wide dedup accounting.
+func list(c *cli, detailed bool) error {
+	cs, err := cas.Open(c.store, cas.Options{})
 	if err != nil {
 		return err
 	}
-	rounds := cs.Rounds()
-	if len(rounds) == 0 {
-		fmt.Println("no checkpoints")
-		return nil
+	all, err := c.manifests(cs)
+	if err != nil || len(all) == 0 {
+		return err
 	}
-	fmt.Printf("%-8s %-10s %-8s %-8s %-12s %s\n", "round", "writers", "modules", "chunks", "bytes", "status")
+	fmt.Fprintf(c.out, "%-8s %-10s %-8s %-8s %-12s %s\n", "round", "writers", "modules", "chunks", "bytes", "status")
 	var acct dedupAccounting
-	matched := false
-	for _, r := range rounds {
-		var ms []*cas.Manifest
-		for _, m := range cs.ManifestsForRound(r) {
-			if writerFilter == "" || m.Writer == writerFilter {
-				ms = append(ms, m)
-			}
+	for len(all) > 0 {
+		n := 1
+		for n < len(all) && all[n].Round == all[0].Round {
+			n++
 		}
-		if len(ms) == 0 {
-			continue
-		}
-		matched = true
+		ms := all[:n]
+		all = all[n:]
 		var modules, chunks int
 		var logical int64
 		for _, m := range ms {
@@ -347,36 +276,52 @@ func list(store storage.PersistStore, detailed bool, writerFilter string) error 
 			}
 			acct.add(m)
 		}
-		fmt.Printf("%-8d %-10d %-8d %-8d %-12d complete\n", r, len(ms), modules, chunks, logical)
+		fmt.Fprintf(c.out, "%-8d %-10d %-8d %-8d %-12d complete\n", ms[0].Round, len(ms), modules, chunks, logical)
 		if detailed {
 			for _, m := range ms {
 				for _, e := range m.Modules {
-					fmt.Printf("    %-40s %8d bytes  %4d chunks  (writer %s)\n",
+					fmt.Fprintf(c.out, "    %-40s %8d bytes  %4d chunks  (writer %s)\n",
 						e.Module, e.Size, len(e.Chunks), m.Writer)
 				}
 			}
 		}
 	}
-	if !matched {
-		return fmt.Errorf("no manifests for writer %q", writerFilter)
-	}
 	logical, physical := acct.totals()
-	fmt.Printf("\n%d unique chunks; ", len(acct.refs))
-	printDedupLine(logical, physical)
-	acct.printWriterBreakdown()
+	fmt.Fprintf(c.out, "\n%d unique chunks; ", len(acct.refs))
+	printDedupLine(c.out, logical, physical)
+	acct.printWriterBreakdown(c.out)
 	if detailed {
-		fmt.Printf("chunking: %s\n", acct.chunkingModes())
-		acct.printHistogram()
+		fmt.Fprintf(c.out, "chunking: %s\n", acct.chunkingModes())
+		acct.printHistogram(c.out)
 	}
 	return nil
+}
+
+// manifests returns the store's manifests in (round, writer) order,
+// only -writer's when it is set, and says so when there are none.
+func (c *cli) manifests(cs *cas.Store) ([]*cas.Manifest, error) {
+	all := cs.Manifests()
+	kept := all[:0]
+	for _, m := range all {
+		if c.writer == "" || m.Writer == c.writer {
+			kept = append(kept, m)
+		}
+	}
+	switch {
+	case len(all) == 0:
+		fmt.Fprintln(c.out, "no checkpoints")
+	case len(kept) == 0:
+		return nil, fmt.Errorf("no manifests for writer %q", c.writer)
+	}
+	return kept, nil
 }
 
 // jobs prints the fleet job registry and each job's storage footprint
 // on the shared store, ending with the cross-job dedup summary: the
 // chunk volume the shared store holds versus what the same jobs would
 // hold on per-job independent stores.
-func jobs(store storage.PersistStore) error {
-	svc, err := fleet.Open(store, fleet.Config{})
+func jobs(c *cli) error {
+	svc, err := fleet.Open(c.store, fleet.Config{})
 	if err != nil {
 		return err
 	}
@@ -385,14 +330,14 @@ func jobs(store storage.PersistStore) error {
 		return err
 	}
 	if len(st.Jobs) == 0 {
-		fmt.Println("no jobs (empty store)")
+		fmt.Fprintln(c.out, "no jobs (empty store)")
 		return nil
 	}
 	if len(svc.Jobs()) == 0 {
-		fmt.Println("no fleet registry; showing per-writer footprints")
+		fmt.Fprintln(c.out, "no fleet registry; showing per-writer footprints")
 	}
 	now := simtime.WallNow()
-	fmt.Printf("%-16s %-16s %-6s %-14s %-8s %-14s %-14s %s\n",
+	fmt.Fprintf(c.out, "%-16s %-16s %-6s %-14s %-8s %-14s %-14s %s\n",
 		"job", "parent", "epoch", "lease", "rounds", "logical", "chunk-bytes", "exclusive")
 	for _, j := range st.Jobs {
 		id, parent := j.ID, j.Parent
@@ -414,24 +359,52 @@ func jobs(store storage.PersistStore) error {
 		case j.Registered && j.Epoch > 0:
 			lease = "EXPIRED"
 		}
-		fmt.Printf("%-16s %-16s %-6d %-14s %-8d %-14d %-14d %d\n",
+		fmt.Fprintf(c.out, "%-16s %-16s %-6d %-14s %-8d %-14d %-14d %d\n",
 			id, parent, j.Epoch, lease, j.Rounds, j.LogicalBytes, j.ChunkBytes, j.ExclusiveChunkBytes)
 	}
-	fmt.Printf("\nshared store: %d chunk bytes; independent per-job stores would hold %d",
+	fmt.Fprintf(c.out, "\nshared store: %d chunk bytes; independent per-job stores would hold %d",
 		st.PhysicalChunkBytes, st.IndependentChunkBytes)
 	if st.IndependentChunkBytes > 0 {
-		fmt.Printf(" (cross-job dedup %.1f%%)", 100*st.CrossJobDedupRatio)
+		fmt.Fprintf(c.out, " (cross-job dedup %.1f%%)", 100*st.CrossJobDedupRatio)
 	}
-	fmt.Println()
-	fmt.Print("dedup: ")
-	printDedupLine(st.LogicalBytes, st.PhysicalChunkBytes)
+	fmt.Fprintln(c.out)
+	fmt.Fprint(c.out, "dedup: ")
+	printDedupLine(c.out, st.LogicalBytes, st.PhysicalChunkBytes)
 	return nil
+}
+
+// verify reads back every module's newest copy through a recovery
+// agent, audits chunk refcounts, and re-hashes every stored chunk.
+func verify(c *cli) error {
+	agent, err := core.NewAgent(storage.NewSnapshotStore(), c.store, 2)
+	if err != nil {
+		return err
+	}
+	defer agent.Close()
+	n, rep, err := agent.VerifyAudit()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.out, "OK: %d recoverable blobs verified (latest complete round %d)\n",
+		n, agent.LatestCompleteRound())
+	fmt.Fprintf(c.out, "refcount audit: %d rounds, %d manifests, %d module entries\n",
+		rep.Rounds, rep.Manifests, rep.Modules)
+	fmt.Fprintf(c.out, "  %d chunks stored, %d referenced (%d references total)\n",
+		rep.ChunksStored, rep.ChunksReferenced, rep.RefTotal)
+	if len(rep.Orphans) > 0 {
+		fmt.Fprintf(c.out, "  %d orphan chunks (unreferenced; reclaim with 'gc')\n", len(rep.Orphans))
+	}
+	// The recoverable-blob pass reads each module NAME's newest copy;
+	// on a multi-job store several writers reuse the same names, so
+	// chunks exclusive to another job's lineage are never read back.
+	// Re-hash every stored chunk so corruption anywhere is caught.
+	return verifyChunks(c.out, c.store)
 }
 
 // verifyChunks re-hashes every stored chunk against its content
 // address — the exhaustive sweep the fleet scrub daemon runs a bounded
 // window of per pass.
-func verifyChunks(store storage.PersistStore) error {
+func verifyChunks(w io.Writer, store storage.PersistStore) error {
 	keys, err := store.Keys(cas.ChunkPrefix)
 	if err != nil {
 		return err
@@ -454,7 +427,7 @@ func verifyChunks(store storage.PersistStore) error {
 		return fmt.Errorf("%d of %d stored chunks fail their content address (first %s)",
 			len(corrupt), len(keys), corrupt[0])
 	}
-	fmt.Printf("  %d stored chunks re-hashed against their addresses\n", len(keys))
+	fmt.Fprintf(w, "  %d stored chunks re-hashed against their addresses\n", len(keys))
 	return nil
 }
 
@@ -466,8 +439,8 @@ func verifyChunks(store storage.PersistStore) error {
 // against another's, matching the fleet service's Retain — but unlike
 // the online service this admin tool judges every writer: the store is
 // assumed quiesced.
-func gc(store storage.PersistStore) error {
-	cs, err := cas.Open(store, cas.Options{})
+func gc(c *cli) error {
+	cs, err := cas.Open(c.store, cas.Options{})
 	if err != nil {
 		return err
 	}
@@ -484,9 +457,9 @@ func gc(store storage.PersistStore) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gc: %d manifest entries dropped, %d manifests deleted, %d chunks swept\n",
+	fmt.Fprintf(c.out, "gc: %d manifest entries dropped, %d manifests deleted, %d chunks swept\n",
 		st.EntriesDropped, st.ManifestsDeleted, st.ChunksDeleted)
-	fmt.Printf("    %d -> %d physical bytes\n", before, after)
+	fmt.Fprintf(c.out, "    %d -> %d physical bytes\n", before, after)
 	return nil
 }
 
@@ -543,13 +516,13 @@ func (d *dedupAccounting) add(m *cas.Manifest) {
 // printWriterBreakdown prints one line per writer — the per-job view of
 // a multi-job store — with each writer's unique chunk bytes and the
 // subset no other writer shares. Single-writer stores print nothing.
-func (d *dedupAccounting) printWriterBreakdown() {
+func (d *dedupAccounting) printWriterBreakdown(w io.Writer) {
 	if len(d.writers) <= 1 {
 		return
 	}
 	chunkWriters := map[cas.Hash]int{}
-	for _, w := range d.writers {
-		for h := range w.chunks {
+	for _, wa := range d.writers {
+		for h := range wa.chunks {
 			chunkWriters[h]++
 		}
 	}
@@ -558,18 +531,18 @@ func (d *dedupAccounting) printWriterBreakdown() {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("per-writer breakdown (%d writers share the chunk namespace):\n", len(names))
+	fmt.Fprintf(w, "per-writer breakdown (%d writers share the chunk namespace):\n", len(names))
 	for _, name := range names {
-		w := d.writers[name]
+		wa := d.writers[name]
 		var unique, exclusive int64
-		for h, size := range w.chunks {
+		for h, size := range wa.chunks {
 			unique += size
 			if chunkWriters[h] == 1 {
 				exclusive += size
 			}
 		}
-		fmt.Printf("  %-24s %3d manifests  %4d modules  %12d logical  %12d chunk bytes (%d exclusive)\n",
-			name, w.manifests, w.modules, w.logical, unique, exclusive)
+		fmt.Fprintf(w, "  %-24s %3d manifests  %4d modules  %12d logical  %12d chunk bytes (%d exclusive)\n",
+			name, wa.manifests, wa.modules, wa.logical, unique, exclusive)
 	}
 }
 
@@ -589,7 +562,7 @@ func (d *dedupAccounting) chunkingModes() string {
 }
 
 // printHistogram prints a power-of-two histogram of unique chunk sizes.
-func (d *dedupAccounting) printHistogram() {
+func (d *dedupAccounting) printHistogram(w io.Writer) {
 	if len(d.chunkSize) == 0 {
 		return
 	}
@@ -610,10 +583,10 @@ func (d *dedupAccounting) printHistogram() {
 		order = append(order, b)
 	}
 	sort.Ints(order)
-	fmt.Println("unique chunk sizes:")
+	fmt.Fprintln(w, "unique chunk sizes:")
 	for _, b := range order {
 		bar := strings.Repeat("#", (buckets[b]*40+maxCount-1)/maxCount)
-		fmt.Printf("  %10s–%-10s %6d %s\n", sizeLabel(1<<b), sizeLabel(1<<(b+1)), buckets[b], bar)
+		fmt.Fprintf(w, "  %10s–%-10s %6d %s\n", sizeLabel(1<<b), sizeLabel(1<<(b+1)), buckets[b], bar)
 	}
 }
 
@@ -640,27 +613,22 @@ func (d *dedupAccounting) totals() (logical, physical int64) {
 }
 
 // printDedupLine prints "L logical -> P physical chunk bytes (dedup X%)".
-func printDedupLine(logical, physical int64) {
-	fmt.Printf("%d logical -> %d physical chunk bytes", logical, physical)
+func printDedupLine(w io.Writer, logical, physical int64) {
+	fmt.Fprintf(w, "%d logical -> %d physical chunk bytes", logical, physical)
 	if logical > 0 {
-		fmt.Printf(" (dedup %.1f%%)", 100*float64(logical-physical)/float64(logical))
+		fmt.Fprintf(w, " (dedup %.1f%%)", 100*float64(logical-physical)/float64(logical))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // stats replays every committed module through the simulated storage
 // stack — the directory as an object store with a cost model, fronted by
 // an LRU chunk cache — and prints dedup, cache, and remote counters.
 // The first pass is the cold-cache recovery; the second replays it warm.
-// A non-empty writerFilter restricts the accounting and the replay to
-// one writer's manifests.
-func stats(fsStore storage.PersistStore, router *shard.Router, cacheMB int, latencyMS, uploadMBps, downloadMBps float64, writerFilter string) error {
-	rs, err := remote.New(remote.Config{
-		Inner:          fsStore,
-		LatencySeconds: latencyMS / 1000,
-		UploadBps:      uploadMBps * (1 << 20),
-		DownloadBps:    downloadMBps * (1 << 20),
-	})
+// -writer restricts the accounting and the replay to one writer's
+// manifests.
+func stats(c *cli) error {
+	rs, err := c.remote(0)
 	if err != nil {
 		return err
 	}
@@ -671,7 +639,7 @@ func stats(fsStore storage.PersistStore, router *shard.Router, cacheMB int, late
 	if err != nil {
 		return err
 	}
-	cs, err := cache.New(rep, int64(cacheMB)<<20)
+	cs, err := cache.New(rep, int64(c.cacheMB)<<20)
 	if err != nil {
 		return err
 	}
@@ -679,22 +647,9 @@ func stats(fsStore storage.PersistStore, router *shard.Router, cacheMB int, late
 	if err != nil {
 		return err
 	}
-	manifests := store.Manifests()
-	if writerFilter != "" {
-		kept := manifests[:0]
-		for _, m := range manifests {
-			if m.Writer == writerFilter {
-				kept = append(kept, m)
-			}
-		}
-		manifests = kept
-		if len(manifests) == 0 {
-			return fmt.Errorf("no manifests for writer %q", writerFilter)
-		}
-	}
-	if len(manifests) == 0 {
-		fmt.Println("no checkpoints")
-		return nil
+	manifests, err := c.manifests(store)
+	if err != nil || len(manifests) == 0 {
+		return err
 	}
 
 	var acct dedupAccounting
@@ -702,80 +657,99 @@ func stats(fsStore storage.PersistStore, router *shard.Router, cacheMB int, late
 		acct.add(m)
 	}
 	logical, physical := acct.totals()
-	fmt.Printf("store: %d rounds, %d manifests, %d module entries, %d unique chunks\n",
+	fmt.Fprintf(c.out, "store: %d rounds, %d manifests, %d module entries, %d unique chunks\n",
 		len(acct.rounds), acct.manifests, acct.modules, len(acct.refs))
-	fmt.Printf("chunking: %s\n", acct.chunkingModes())
-	fmt.Print("dedup: ")
-	printDedupLine(logical, physical)
-	acct.printWriterBreakdown()
-	acct.printHistogram()
+	fmt.Fprintf(c.out, "chunking: %s\n", acct.chunkingModes())
+	fmt.Fprint(c.out, "dedup: ")
+	printDedupLine(c.out, logical, physical)
+	acct.printWriterBreakdown(c.out)
+	acct.printHistogram(c.out)
 
 	// Replay: read every module of every round, cold then warm.
-	replay := func() error {
-		for _, m := range manifests {
-			for _, e := range m.Modules {
-				if _, err := store.ReadModule(m.Round, e.Module); err != nil {
-					return fmt.Errorf("replay %s@%06d: %w", e.Module, m.Round, err)
-				}
-			}
-		}
-		return nil
-	}
 	coldBase, coldCache := rs.Metrics(), cs.Stats()
-	if err := replay(); err != nil {
+	if err := replay(store, manifests); err != nil {
 		return err
 	}
 	coldM, coldC := rs.Metrics(), cs.Stats()
-	if err := replay(); err != nil {
+	if err := replay(store, manifests); err != nil {
 		return err
 	}
 	warmM, warmC := rs.Metrics(), cs.Stats()
 
 	coldReads := (coldC.Hits + coldC.Misses) - (coldCache.Hits + coldCache.Misses)
 	warmReads := (warmC.Hits + warmC.Misses) - (coldC.Hits + coldC.Misses)
-	fmt.Printf("cold replay: %d chunk reads, cache hit rate %.1f%%, %d remote gets, %d bytes down, %.3f sim s\n",
+	fmt.Fprintf(c.out, "cold replay: %d chunk reads, cache hit rate %.1f%%, %d remote gets, %d bytes down, %.3f sim s\n",
 		coldReads,
 		hitRate(coldC.Hits-coldCache.Hits, coldReads),
 		coldM.GetOps-coldBase.GetOps,
 		coldM.BytesDownloaded-coldBase.BytesDownloaded,
 		coldM.SimSeconds-coldBase.SimSeconds)
-	fmt.Printf("warm replay: %d chunk reads, cache hit rate %.1f%%, %d remote gets, %d bytes down, %.3f sim s\n",
+	fmt.Fprintf(c.out, "warm replay: %d chunk reads, cache hit rate %.1f%%, %d remote gets, %d bytes down, %.3f sim s\n",
 		warmReads,
 		hitRate(warmC.Hits-coldC.Hits, warmReads),
 		warmM.GetOps-coldM.GetOps,
 		warmM.BytesDownloaded-coldM.BytesDownloaded,
 		warmM.SimSeconds-coldM.SimSeconds)
-	fmt.Printf("cache: %d entries, %d/%d bytes used, %d insertions, %d evictions\n",
+	fmt.Fprintf(c.out, "cache: %d entries, %d/%d bytes used, %d insertions, %d evictions\n",
 		warmC.Entries, warmC.Bytes, warmC.Capacity, warmC.Insertions, warmC.Evictions)
-	fmt.Printf("remote totals: %d gets, %d lists, %d retries, %d injected failures, %.3f sim s\n",
+	fmt.Fprintf(c.out, "remote totals: %d gets, %d lists, %d retries, %d injected failures, %.3f sim s\n",
 		warmM.GetOps, warmM.ListOps, warmM.Retries, warmM.InjectedFailures, warmM.SimSeconds)
-	printHealth(warmM, rep, router)
-	return persistProbe(store, manifests)
+	printHealth(c.out, warmM, rep, c.router)
+	return persistProbe(c.out, store, manifests)
+}
+
+// remote wraps the -dir store in the object-store cost model stats,
+// restore and top replay through. The model treats zero as "use the
+// default", so a zero flag would silently charge the default cost
+// instead of none: reject it rather than lie in the printed numbers.
+func (c *cli) remote(sleepScale float64) (*remote.Store, error) {
+	if c.cacheMB <= 0 || c.latencyMS <= 0 || c.uploadMBps <= 0 || c.downloadMBps <= 0 {
+		return nil, errors.New("-cache-mb, -latency-ms, -upload-mbps and -download-mbps must be positive (use a small value like 0.001 to model a near-free remote)")
+	}
+	return remote.New(remote.Config{
+		Inner:          c.store,
+		LatencySeconds: c.latencyMS / 1000,
+		UploadBps:      c.uploadMBps * (1 << 20),
+		DownloadBps:    c.downloadMBps * (1 << 20),
+		SleepScale:     sleepScale,
+	})
+}
+
+// replay reads every module of every manifest.
+func replay(store *cas.Store, manifests []*cas.Manifest) error {
+	for _, m := range manifests {
+		for _, e := range m.Modules {
+			if _, err := store.ReadModule(m.Round, e.Module); err != nil {
+				return fmt.Errorf("replay %s@%06d: %w", e.Module, m.Round, err)
+			}
+		}
+	}
+	return nil
 }
 
 // printHealth is the stats health block: the degradation counters of
 // the remote cost model, the replica layer's slow-path accounting, and
 // — against a sharded store — the chunk balance factor.
-func printHealth(m remote.Metrics, rep *replica.Store, router *shard.Router) {
-	fmt.Println("health:")
-	fmt.Printf("  remote:  %d degraded ops, %d retries, %d injected failures\n",
+func printHealth(w io.Writer, m remote.Metrics, rep *replica.Store, router *shard.Router) {
+	fmt.Fprintln(w, "health:")
+	fmt.Fprintf(w, "  remote:  %d degraded ops, %d retries, %d injected failures\n",
 		m.DegradedOps, m.Retries, m.InjectedFailures)
 	lats := rep.BackendLatencies()
 	parts := make([]string, len(lats))
 	for i, l := range lats {
 		parts[i] = fmt.Sprintf("%.2fms", l*1000)
 	}
-	fmt.Printf("  replica: %d backend(s), %d slow skips, latency EWMA [%s]\n",
+	fmt.Fprintf(w, "  replica: %d backend(s), %d slow skips, latency EWMA [%s]\n",
 		len(lats), rep.SlowSkips(), strings.Join(parts, " "))
 	if router == nil {
 		return
 	}
 	balance, shards, err := shardChunkBalance(router)
 	if err != nil {
-		fmt.Printf("  shards:  balance unavailable: %v\n", err)
+		fmt.Fprintf(w, "  shards:  balance unavailable: %v\n", err)
 		return
 	}
-	fmt.Printf("  shards:  balance factor %.2f over %d shards (max/mean chunks; 1.00 = even)\n",
+	fmt.Fprintf(w, "  shards:  balance factor %.2f over %d shards (max/mean chunks; 1.00 = even)\n",
 		balance, shards)
 }
 
@@ -806,7 +780,7 @@ func shardChunkBalance(r *shard.Router) (float64, int, error) {
 // everything — the pipeline's cold MB/s; the second presents
 // byte-identical payloads, so it exercises the unchanged-module fast
 // path. The stage counters printed are the store's pipeline telemetry.
-func persistProbe(store *cas.Store, manifests []*cas.Manifest) error {
+func persistProbe(w io.Writer, store *cas.Store, manifests []*cas.Manifest) error {
 	newest := manifests[len(manifests)-1]
 	mods, err := store.ReadRound(newest.Round)
 	if err != nil {
@@ -834,13 +808,13 @@ func persistProbe(store *cas.Store, manifests []*cas.Manifest) error {
 	}
 	unchanged := simtime.WallSince(start)
 	st := probe.Stats()
-	fmt.Printf("persist probe (round %06d replayed into a fresh %s-chunked memory store):\n",
+	fmt.Fprintf(w, "persist probe (round %06d replayed into a fresh %s-chunked memory store):\n",
 		newest.Round, newest.Chunking)
-	fmt.Printf("  cold round:      %8.1f MB/s (%d modules, %d bytes, every chunk new)\n",
+	fmt.Fprintf(w, "  cold round:      %8.1f MB/s (%d modules, %d bytes, every chunk new)\n",
 		mbps(logical, cold), len(mods), logical)
-	fmt.Printf("  unchanged round: %8.1f MB/s (whole-module fast path, zero chunk hashes)\n",
+	fmt.Fprintf(w, "  unchanged round: %8.1f MB/s (whole-module fast path, zero chunk hashes)\n",
 		mbps(logical, unchanged))
-	fmt.Printf("  pipeline: %d chunks hashed, %d written, %d deduped, %d modules skipped unchanged\n",
+	fmt.Fprintf(w, "  pipeline: %d chunks hashed, %d written, %d deduped, %d modules skipped unchanged\n",
 		st.ChunksHashed, st.ChunksWritten, st.ChunksDeduped, st.ModulesUnchanged)
 	return nil
 }
@@ -852,35 +826,32 @@ func persistProbe(store *cas.Store, manifests []*cas.Manifest) error {
 // model really sleeps its simulated cost (SleepScale 1), so the printed
 // time-to-restored-model percentiles reflect the configured latency and
 // bandwidth; the tier counters show where each read was absorbed.
-func restoreProbe(fsStore storage.PersistStore, readers, restores, l1MB, l2MB int, latencyMS, uploadMBps, downloadMBps float64) error {
-	rs, err := remote.New(remote.Config{
-		Inner:          fsStore,
-		LatencySeconds: latencyMS / 1000,
-		UploadBps:      uploadMBps * (1 << 20),
-		DownloadBps:    downloadMBps * (1 << 20),
-		SleepScale:     1,
-	})
+func restoreProbe(c *cli) error {
+	if c.l1MB <= 0 || c.readers <= 0 || c.restores <= 0 {
+		return errors.New("restore: -l1-mb, -readers and -restores must be positive")
+	}
+	rs, err := c.remote(1)
 	if err != nil {
 		return err
 	}
-	tier, err := readserve.New(rs, readserve.Config{L1Bytes: int64(l1MB) << 20, L2Bytes: int64(l2MB) << 20})
+	tier, err := readserve.New(rs, readserve.Config{L1Bytes: int64(c.l1MB) << 20, L2Bytes: int64(c.cacheMB) << 20})
 	if err != nil {
 		return err
 	}
 	// Pick the newest round through the raw directory, without charging
 	// the cost model for the index scan.
-	idx, err := cas.Open(fsStore, cas.Options{})
+	idx, err := cas.Open(c.store, cas.Options{})
 	if err != nil {
 		return err
 	}
 	rounds := idx.Rounds()
 	if len(rounds) == 0 {
-		fmt.Println("no checkpoints")
+		fmt.Fprintln(c.out, "no checkpoints")
 		return nil
 	}
 	round := rounds[len(rounds)-1]
 
-	pools := make([]*readserve.Pool, readers)
+	pools := make([]*readserve.Pool, c.readers)
 	for i := range pools {
 		node, err := tier.NewNode()
 		if err != nil {
@@ -909,7 +880,7 @@ func restoreProbe(fsStore storage.PersistStore, readers, restores, l1MB, l2MB in
 		go func(p *readserve.Pool) {
 			defer wg.Done()
 			<-start
-			for r := 0; r < restores; r++ {
+			for r := 0; r < c.restores; r++ {
 				t0 := simtime.WallNow()
 				_, err := p.ReadRound(round)
 				d := simtime.WallSince(t0)
@@ -934,15 +905,15 @@ func restoreProbe(fsStore storage.PersistStore, readers, restores, l1MB, l2MB in
 	sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
 	st := tier.Stats()
 	m := rs.Metrics()
-	fmt.Printf("restore probe: round %06d, %d readers × %d restores (L1 %d MiB/node, L2 %d MiB shared)\n",
-		round, readers, restores, l1MB, l2MB)
-	fmt.Printf("time-to-restored-model: p50 %s  p99 %s  max %s\n",
+	fmt.Fprintf(c.out, "restore probe: round %06d, %d readers × %d restores (L1 %d MiB/node, L2 %d MiB shared)\n",
+		round, c.readers, c.restores, c.l1MB, c.cacheMB)
+	fmt.Fprintf(c.out, "time-to-restored-model: p50 %s  p99 %s  max %s\n",
 		pctl(durations, 50), pctl(durations, 99), durations[len(durations)-1].Round(time.Microsecond))
-	fmt.Printf("L1 (per-reader): %5.1f%% hit ratio (%d hits / %d misses), %d coalesced\n",
+	fmt.Fprintf(c.out, "L1 (per-reader): %5.1f%% hit ratio (%d hits / %d misses), %d coalesced\n",
 		100*st.L1HitRatio(), st.L1Hits, st.L1Misses, st.L1Coalesced)
-	fmt.Printf("L2 (shared):     %5.1f%% hit ratio (%d hits / %d misses), %d coalesced, %d promotions\n",
+	fmt.Fprintf(c.out, "L2 (shared):     %5.1f%% hit ratio (%d hits / %d misses), %d coalesced, %d promotions\n",
 		100*st.L2HitRatio(), st.L2Hits, st.L2Misses, st.L2Coalesced, st.Promotions)
-	fmt.Printf("backend: %d gets (%d cold, %d repeat), %d bytes down, %.3f sim s\n",
+	fmt.Fprintf(c.out, "backend: %d gets (%d cold, %d repeat), %d bytes down, %.3f sim s\n",
 		st.BackendGets, m.ColdGets, m.RepeatGets, m.BytesDownloaded, m.SimSeconds)
 	return nil
 }
@@ -969,9 +940,4 @@ func hitRate(hits, total int64) float64 {
 		return 0
 	}
 	return 100 * float64(hits) / float64(total)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mocckpt:", err)
-	os.Exit(1)
 }

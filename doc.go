@@ -67,8 +67,7 @@
 // lock discipline, errors.Is for wrapped sentinels, and the
 // internal/simtime wall-clock monopoly — are mechanically enforced by
 // the project linter (internal/analysis, run as `go run ./cmd/mocvet
-// ./...` or `mocckpt vet`); see the "Static analysis" section of
-// README.md.
+// ./...`); see the "Static analysis" section of README.md.
 //
 // See README.md for a walkthrough and EXPERIMENTS.md for the full
 // paper-versus-measured experiment index.

@@ -96,6 +96,13 @@ func TestFleetCrossJobDedupAndFleetGCEndToEnd(t *testing.T) {
 		t.Fatalf("shared store %d B not below independent %d B",
 			st.PhysicalChunkBytes, st.IndependentChunkBytes)
 	}
+	// A fork pays only for what it changed: its frozen experts are the
+	// base's chunks, so part of its volume is shared, not exclusive.
+	for _, j := range st.Jobs {
+		if j.Parent == "base" && j.ExclusiveChunkBytes >= j.ChunkBytes {
+			t.Fatalf("fork %s shares nothing with the base: %+v", j.ID, j)
+		}
+	}
 
 	// Each job's recovery is isolated to its own lineage: a fault on a
 	// fork restores the fork's checkpoint bit-identically even though
@@ -127,12 +134,23 @@ func TestFleetCrossJobDedupAndFleetGCEndToEnd(t *testing.T) {
 	if err := base.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
+	preGC, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	removed, err := f.Retain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed == 0 {
 		t.Fatal("fleet GC found nothing despite superseded base rounds")
+	}
+	afterGC, err := f.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if afterGC.PhysicalChunkBytes >= preGC.PhysicalChunkBytes {
+		t.Fatalf("fleet GC kept every chunk: %d -> %d B", preGC.PhysicalChunkBytes, afterGC.PhysicalChunkBytes)
 	}
 	rep, err := f.Scrub()
 	if err != nil {

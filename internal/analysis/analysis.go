@@ -18,9 +18,7 @@
 // itself a diagnostic — so every suppression documents why the
 // invariant does not apply.
 //
-// The suite is wired into CI and exposed through two front ends:
-// cmd/mocvet (the standalone linter) and `mocckpt vet` (the same
-// registry run in-process).
+// The suite is wired into CI and run by cmd/mocvet.
 package analysis
 
 import (

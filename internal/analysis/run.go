@@ -157,8 +157,8 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// jsonReport is the stable schema emitted by `mocvet -json` (and
-// `mocckpt vet -json`): the diagnostic list plus its count.
+// jsonReport is the stable schema emitted by `mocvet -json`: the
+// diagnostic list plus its count.
 type jsonReport struct {
 	Diagnostics []Diagnostic `json:"diagnostics"`
 	Count       int          `json:"count"`

@@ -1,7 +1,7 @@
 // Package experiments implements one runner per table and figure of the
 // paper's evaluation (§6). Runners return both structured results and a
-// formatted table, and are shared by cmd/mocsim, cmd/moctrain,
-// cmd/mocbench and the benchmark harness (bench_test.go).
+// formatted table, and are shared by cmd/mocbench (one -fig key each)
+// and the benchmark harness (bench_test.go).
 //
 // Efficiency experiments (Figures 10–13) run on the analytic cost models
 // and the discrete-event simulator; accuracy experiments (Figure 5, 14,

@@ -176,33 +176,41 @@ func TestReplicaFleetHydratesThroughTier(t *testing.T) {
 	resume := cfg
 	resume.Resume = true
 
+	// hydrate resumes the checkpoint on replicas concurrent Systems, each
+	// over its own store from storeFor, and returns the remote's gets
+	// and repeat gets the fleet cost.
 	const replicas = 4
-	before := remote.Metrics()
-	var wg sync.WaitGroup
-	errs := make(chan error, replicas)
-	for i := 0; i < replicas; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			node, err := tier.NewNode()
-			if err != nil {
-				errs <- err
-				return
-			}
-			replica, err := moc.NewSystem(resume, node)
-			if err != nil {
-				errs <- err
-				return
-			}
-			replica.Close()
-		}()
+	hydrate := func(storeFor func() (moc.PersistStore, error)) (gets, repeats int64) {
+		before := remote.Metrics()
+		var wg sync.WaitGroup
+		errs := make(chan error, replicas)
+		for i := 0; i < replicas; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				store, err := storeFor()
+				if err != nil {
+					errs <- err
+					return
+				}
+				replica, err := moc.NewSystem(resume, store)
+				if err != nil {
+					errs <- err
+					return
+				}
+				replica.Close()
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		after := remote.Metrics()
+		return after.GetOps - before.GetOps, after.RepeatGets - before.RepeatGets
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	after := remote.Metrics()
+	fleetGets, repeats := hydrate(func() (moc.PersistStore, error) { return tier.NewNode() })
+	rawGets, _ := hydrate(func() (moc.PersistStore, error) { return remote, nil })
 
 	// Chunks are fetched at most once for the whole fleet; only the
 	// uncacheable control plane (manifests) repeats. A solo replica's
@@ -212,9 +220,12 @@ func TestReplicaFleetHydratesThroughTier(t *testing.T) {
 	if st.BackendGets == 0 || st.L1Hits+st.L2Hits == 0 {
 		t.Fatalf("fleet hydration missed the tier: %+v", st)
 	}
-	fleetGets := after.GetOps - before.GetOps
-	if repeats := after.RepeatGets - before.RepeatGets; repeats >= fleetGets {
+	if repeats >= fleetGets {
 		t.Fatalf("every fleet get repeated: %d of %d", repeats, fleetGets)
+	}
+	// Without the tier every replica fetches every chunk itself.
+	if rawGets-fleetGets < (replicas-1)*st.BackendGets {
+		t.Fatalf("raw hydration cost %d gets, the tier %d: want every replica paying the %d chunks", rawGets, fleetGets, st.BackendGets)
 	}
 	if int64(replicas)*st.BackendGets <= fleetGets-st.BackendGets {
 		// backendGets ≈ unique chunk count; the rest is per-replica

@@ -172,8 +172,8 @@ func TestRecoverBitIdenticalAfterReplicaBackendLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	backendA.Heal()
-	if _, err := store.Sync(); err != nil {
-		t.Fatal(err)
+	if copied, err := store.Sync(); err != nil || copied == 0 {
+		t.Fatalf("anti-entropy after the outage copied %d keys (err %v), want > 0", copied, err)
 	}
 	if _, err := sys.VerifyStorage(); err != nil {
 		t.Fatal(err)
