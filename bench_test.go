@@ -385,12 +385,13 @@ func BenchmarkPersistUnderLatency(b *testing.B) {
 
 // BenchmarkRecoveryTwoLevel times System.InjectFault on the bench's
 // pec_train shape over a MemStore: the failed node's experts come back
-// from storage, every surviving module from the snapshot level — by
-// reference, so what a fault costs there is the decode, not a copy first.
-// B/op is the fault alone; MB/cycle adds the untimed checkpoint after it,
-// whose captures miss the pool once per lent buffer if InjectFault does not
-// end the loan (measured: 11.4 MB with ReleaseRecovered, 16.0 without,
-// 17.2 when the snapshot level was copied).
+// from storage as chunk views, every surviving module from the snapshot
+// level by reference, so what a fault costs is the decode, not a copy
+// first (B/op 0.07 MB; 5.2 MB while storage-served modules were joined).
+// MB/cycle adds the untimed checkpoint after it, whose captures miss the
+// pool once per lent buffer if InjectFault does not end the loan
+// (measured: 6.4 MB with ReleaseRecovered, 11.0 without; 11.6 with the
+// join, 17.2 when the snapshot level was copied as well).
 func BenchmarkRecoveryTwoLevel(b *testing.B) {
 	s, err := moc.NewSystem(moc.Config{
 		Layers: 3, Hidden: 64, Experts: 16, TopK: 2, BatchSize: 32, AuxLossCoeff: 0.01,
@@ -426,6 +427,44 @@ func BenchmarkRecoveryTwoLevel(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/fault")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/cycle")
+}
+
+// BenchmarkRecoveryFromStorage times System.InjectFault on the bench's
+// full_persist shape over a MemStore: full checkpoints and no snapshot
+// level, so every module comes back from storage — each chunk hashed, then
+// decoded straight from the store's views into the parameters. MB/fault is
+// what one fault allocates (measured: 0.07; 12.1 when every module was
+// joined into fresh memory before the decode).
+func BenchmarkRecoveryFromStorage(b *testing.B) {
+	s, err := moc.NewSystem(moc.Config{
+		Layers: 3, Hidden: 96, Experts: 8, TopK: 2, BatchSize: 4, AuxLossCoeff: 0.01,
+		Interval: 2, Seed: 1,
+	}, moc.NewMemStore())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.RunTo(8); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.FlushCheckpoints(); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.InjectFault(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if s.Iteration() != 8 {
+		b.Fatalf("recovered to iteration %d, want 8", s.Iteration())
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/fault")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/fault")
 }
 
 func BenchmarkDedupRatio(b *testing.B) {

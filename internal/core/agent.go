@@ -349,17 +349,32 @@ func (a *Agent) LatestCompleteRound() int {
 	return a.completeRounds[len(a.completeRounds)-1]
 }
 
-// RecoveredModule is one module's restored state.
+// RecoveredModule is one module's restored state, read-only. Parts gives
+// it in the form storage.DecodeTensorsInto takes, whichever field holds it.
 type RecoveredModule struct {
-	// Blob is the module's serialized state, read-only. With FromSnapshot
-	// set it is the snapshot level's own buffer, on loan (see
-	// Agent.Recover); otherwise it is a private copy read from storage.
+	// Chunks is the module's serialized state as read from storage: its
+	// verified chunks in order, never joined — from a storage.Viewer
+	// backend the backend's own views, which it never mutates.
+	Chunks [][]byte
+	// Blob is the module's serialized state in one piece when it did not
+	// come from storage: with FromSnapshot set the snapshot level's own
+	// buffer, on loan (see Agent.Recover); otherwise whatever the caller
+	// built the recovery from (a fork's capture).
 	Blob []byte
 	// Round is the checkpoint round whose state was restored.
 	Round int
 	// FromSnapshot reports whether the in-memory snapshot (two-level
 	// recovery) supplied the state rather than persistent storage.
 	FromSnapshot bool
+}
+
+// Parts returns the module's serialized state as parts: Chunks when it was
+// read from storage, else Blob as the only part.
+func (m RecoveredModule) Parts() [][]byte {
+	if m.Chunks != nil {
+		return m.Chunks
+	}
+	return [][]byte{m.Blob}
 }
 
 // Recover assembles the freshest recoverable state for every module ever
@@ -371,6 +386,8 @@ type RecoveredModule struct {
 // round last persisted it — form one read plan handed to the store in a
 // single ReadAcross call, which fetches and verifies every chunk of the
 // plan at the store's read width; Recover itself starts no goroutines.
+// Those modules come back as their chunks (RecoveredModule.Chunks), not
+// joined: decoding them is the only pass over their bytes after the hash.
 //
 // The snapshot level is served by reference: a FromSnapshot blob is the
 // snapshot store's buffer, lent read-only (storage.SnapshotStore.Lend), not
@@ -427,12 +444,12 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 	// Map order is random; a sorted plan issues the same requests in the
 	// same order every run, so a failure names the same chunk every run.
 	sort.Slice(reads, func(i, j int) bool { return reads[i].Module < reads[j].Module })
-	blobs, err := a.store.ReadAcross(reads)
+	chunks, err := a.store.ReadAcross(reads)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover: %w", err)
 	}
 	for i, r := range reads {
-		out[r.Module] = RecoveredModule{Blob: blobs[i], Round: r.Round}
+		out[r.Module] = RecoveredModule{Chunks: chunks[i], Round: r.Round}
 	}
 	return out, nil
 }

@@ -25,6 +25,9 @@ func newTestAgent(t *testing.T, buffers int) (*Agent, *storage.SnapshotStore, *s
 	return a, snap, persist
 }
 
+// payload is a recovered module's bytes, whichever field holds them.
+func payload(m RecoveredModule) []byte { return bytes.Join(m.Parts(), nil) }
+
 func blobData(kv ...string) CheckpointData {
 	d := CheckpointData{}
 	for i := 0; i+1 < len(kv); i += 2 {
@@ -123,8 +126,8 @@ func TestAgentRecoverUnionAcrossRounds(t *testing.T) {
 		if !ok {
 			t.Fatalf("module %s missing from recovery", k)
 		}
-		if string(got.Blob) != w.blob || got.Round != w.round {
-			t.Fatalf("%s: got %q@%d, want %q@%d", k, got.Blob, got.Round, w.blob, w.round)
+		if string(payload(got)) != w.blob || got.Round != w.round {
+			t.Fatalf("%s: got %q@%d, want %q@%d", k, payload(got), got.Round, w.blob, w.round)
 		}
 		if got.FromSnapshot {
 			t.Fatalf("%s: storage-only recovery used a snapshot", k)
@@ -155,8 +158,8 @@ func TestAgentTwoLevelRecoveryPrefersFreshSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec["e0"].Blob) != "e0@0" {
-		t.Fatalf("storage recovery e0 = %q, want e0@0", rec["e0"].Blob)
+	if string(payload(rec["e0"])) != "e0@0" {
+		t.Fatalf("storage recovery e0 = %q, want e0@0", payload(rec["e0"]))
 	}
 	// Two-level recovery with surviving snapshots: e0 restored at round 1.
 	rec2, err := a.Recover(func(string) bool { return true })
@@ -281,7 +284,7 @@ func TestAgentReopenRecoversIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec["ne"].Blob) != "x" {
+	if string(payload(rec["ne"])) != "x" {
 		t.Fatalf("reopened recovery: %+v", rec)
 	}
 }
@@ -331,7 +334,7 @@ func TestAgentManyRoundsStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := string(rec["ne"].Blob); got == "" {
+	if got := string(payload(rec["ne"])); got == "" {
 		t.Fatal("non-expert module missing after stress run")
 	}
 }
@@ -406,7 +409,7 @@ func TestAgentRecoverIsOneFlatPlanAtReadWidth(t *testing.T) {
 		if survives(name(i)) {
 			wantRound = rounds - 1
 		}
-		if got.Round != wantRound || got.FromSnapshot != survives(name(i)) || !bytes.Equal(got.Blob, blobAt(i, wantRound)) {
+		if got.Round != wantRound || got.FromSnapshot != survives(name(i)) || !bytes.Equal(payload(got), blobAt(i, wantRound)) {
 			t.Fatalf("%s: recovered round %d (snapshot %v), want round %d bit-identical", name(i), got.Round, got.FromSnapshot, wantRound)
 		}
 	}

@@ -67,8 +67,9 @@ func (a *Agent) CompactStats() (cas.GCStats, error) {
 }
 
 // Verify reads back every blob a Recover call could return, checking
-// every chunk against its content address and the assembled blob against
-// the storage codec's CRC32, then audits the store's reference counts: a
+// every chunk against its content address and each blob's chunks against
+// the storage codec's CRC32 and structure (the decoder's check phase; no
+// value is decoded), then audits the store's reference counts: a
 // chunk referenced by any manifest but absent from the backend fails the
 // verification. It returns the number of blobs verified and the audit.
 func (a *Agent) Verify() (checked int, err error) {
@@ -83,7 +84,7 @@ func (a *Agent) VerifyAudit() (checked int, rep cas.AuditReport, err error) {
 		return 0, rep, err
 	}
 	for k, m := range rec {
-		if _, derr := storage.DecodeTensors(m.Blob); derr != nil {
+		if derr := storage.CheckTensors(m.Parts()...); derr != nil {
 			return checked, rep, fmt.Errorf("core: verify %s@%d: %w", k, m.Round, derr)
 		}
 		checked++

@@ -57,7 +57,7 @@ func TestCompactKeepsRecoverableState(t *testing.T) {
 	}
 	for k, b := range before {
 		g, ok := after[k]
-		if !ok || string(g.Blob) != string(b.Blob) || g.Round != b.Round {
+		if !ok || string(payload(g)) != string(payload(b)) || g.Round != b.Round {
 			t.Fatalf("recovery changed for %s: %+v vs %+v", k, g, b)
 		}
 	}
@@ -136,7 +136,7 @@ func TestCompactThenReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec["ne"].Blob) != "ne@4" {
+	if string(payload(rec["ne"])) != "ne@4" {
 		t.Fatalf("reopened recovery after compact: %+v", rec["ne"])
 	}
 }

@@ -100,7 +100,7 @@ func TestReadAcrossFailureNamesChunkAndStops(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
+				if !bytes.Equal(bytes.Join(got[i], nil), want[i]) {
 					t.Fatalf("%s@%d: recovered bytes differ", plan[i].Module, plan[i].Round)
 				}
 			}
@@ -128,6 +128,49 @@ func TestReadAcrossFailureNamesChunkAndStops(t *testing.T) {
 			// may still be between its wg.Done and its exit.
 			if !simtime.Eventually(10*time.Second, time.Millisecond, func() bool { return runtime.NumGoroutine() <= base }) {
 				t.Fatalf("%d goroutines after the failed read, %d before", runtime.NumGoroutine(), base)
+			}
+		})
+	}
+}
+
+// TestReadAcrossReturnsTheBackendsViews: over a storage.Viewer backend a
+// recovered module is the backend's own chunk views, in order — nothing is
+// joined or copied after the hash — and over a backend with only Get the
+// parts are its copies, with the same bytes.
+func TestReadAcrossReturnsTheBackendsViews(t *testing.T) {
+	mem := storage.NewMemStore()
+	backends := map[string]storage.PersistStore{
+		"viewer": mem,
+		"get":    struct{ storage.PersistStore }{mem},
+	}
+	for name, backend := range backends {
+		t.Run(name, func(t *testing.T) {
+			s, err := cas.Open(backend, cas.Options{ChunkSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, want := pecRounds(t, s, 24, 4)
+			got, err := s.ReadAcross(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range plan {
+				if !bytes.Equal(bytes.Join(got[i], nil), want[i]) {
+					t.Fatalf("%s@%d: recovered bytes differ", r.Module, r.Round)
+				}
+				entry := s.Entry(r.Round, r.Module)
+				if len(got[i]) != len(entry.Chunks) {
+					t.Fatalf("%s@%d: %d parts for %d chunks", r.Module, r.Round, len(got[i]), len(entry.Chunks))
+				}
+				for j, part := range got[i] {
+					view, err := mem.GetView(cas.ChunkKey(entry.Chunks[j].Hash))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if shared := &part[0] == &view[0]; shared != (name == "viewer") {
+						t.Fatalf("%s@%d chunk %d: part is the backend's view = %v", r.Module, r.Round, j, shared)
+					}
+				}
 			}
 		})
 	}

@@ -890,8 +890,9 @@ func (s *Store) Entry(round int, module string) *ModuleEntry {
 }
 
 // readAt resolves each read to its manifest entry (see Entry) and fetches
-// them as one plan; the i-th result is reads[i]'s payload.
-func (s *Store) readAt(sp *obs.Span, reads []ModuleAt) ([][]byte, error) {
+// them as one plan; the i-th result is reads[i]'s payload as fetchPlan
+// returns it.
+func (s *Store) readAt(sp *obs.Span, reads []ModuleAt, join bool) ([][][]byte, error) {
 	plan := make([]planned, len(reads))
 	for i, r := range reads {
 		entry := s.Entry(r.Round, r.Module)
@@ -900,22 +901,25 @@ func (s *Store) readAt(sp *obs.Span, reads []ModuleAt) ([][]byte, error) {
 		}
 		plan[i] = planned{round: r.Round, entry: entry}
 	}
-	return s.fetchPlan(sp, plan)
+	return s.fetchPlan(sp, plan, join)
 }
 
-// ReadAcross reassembles modules taken from different rounds — the shape
-// of a PEC recovery, where each module's newest copy sits in whichever
-// round last persisted it — as one read plan: every chunk of every named
-// module joins a single task list fetched at Options.ReadWorkers width,
-// so the read costs chunks ÷ width round trips however the chunks spread
-// over modules and rounds. The i-th result is reads[i]'s payload; a name
+// ReadAcross fetches modules taken from different rounds — the shape of a
+// PEC recovery, where each module's newest copy sits in whichever round
+// last persisted it — as one read plan: every chunk of every named module
+// joins a single task list fetched at Options.ReadWorkers width, so the
+// read costs chunks ÷ width round trips however the chunks spread over
+// modules and rounds. The i-th result is reads[i]'s payload as its
+// verified chunks in order, never joined: from a storage.Viewer backend
+// they are the backend's own views, read-only, so a caller decoding them
+// (storage.DecodeTensorsInto) allocates nothing for the payload. A name
 // absent from its round fails with ErrModuleNotFound. Every chunk is
 // verified against its address and every total against the manifest.
-func (s *Store) ReadAcross(reads []ModuleAt) ([][]byte, error) {
+func (s *Store) ReadAcross(reads []ModuleAt) ([][][]byte, error) {
 	sp, done := startRead("ReadAcross")
 	defer done()
 	sp.AttrInt("modules", int64(len(reads)))
-	return s.readAt(sp, reads)
+	return s.readAt(sp, reads, false)
 }
 
 // ReadModule reassembles one module's payload from a round: a read plan
@@ -924,11 +928,11 @@ func (s *Store) ReadModule(round int, module string) ([]byte, error) {
 	sp, done := startRead("ReadModule")
 	defer done()
 	sp.AttrInt("round", int64(round)).Attr("module", module)
-	bufs, err := s.readAt(sp, []ModuleAt{{round, module}})
+	bufs, err := s.readAt(sp, []ModuleAt{{round, module}}, true)
 	if err != nil {
 		return nil, err
 	}
-	return bufs[0], nil
+	return bufs[0][0], nil
 }
 
 // ReadModules reassembles only the named modules from a round — the
@@ -948,13 +952,13 @@ func (s *Store) ReadModules(round int, modules []string) (map[string][]byte, err
 			reads = append(reads, ModuleAt{round, m})
 		}
 	}
-	bufs, err := s.readAt(sp, reads)
+	bufs, err := s.readAt(sp, reads, true)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte, len(reads))
 	for i, r := range reads {
-		out[r.Module] = bufs[i]
+		out[r.Module] = bufs[i][0]
 	}
 	return out, nil
 }
@@ -985,38 +989,37 @@ func (s *Store) ReadRound(round int) (map[string][]byte, error) {
 	if manifests == 0 {
 		return nil, fmt.Errorf("cas: no manifests for round %06d", round)
 	}
-	bufs, err := s.fetchPlan(sp, plan)
+	bufs, err := s.fetchPlan(sp, plan, true)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte, len(plan))
 	for name, i := range at {
-		out[name] = bufs[i]
+		out[name] = bufs[i][0]
 	}
 	return out, nil
 }
 
-// fetchPlan fetches, verifies, and reassembles the planned entries — the
-// task builder behind every read call — fanning all their chunk gets
-// across one ReadWorkers-wide pool. Backends implementing storage.Viewer
-// serve chunk bytes without a defensive copy — verification only reads
-// them, and the single write into the output buffer is the reassembly
-// copy itself.
-func (s *Store) fetchPlan(sp *obs.Span, plan []planned) ([][]byte, error) {
-	// Workers collect a module's verified chunks and whichever lands the
-	// last one assembles it with bytes.Join — one copy into a buffer that
-	// is not zeroed first. Zeroing every buffer up front was a serial pass
-	// whose memory had left the cache by the time it was filled, a quarter
-	// of a memory-speed recovery; zeroing on first touch was still a tenth.
-	out := make([][]byte, len(plan))
+// fetchPlan fetches and verifies the planned entries — the task builder
+// behind every read call — fanning all their chunk gets across one
+// ReadWorkers-wide pool, and returns each entry's chunks in order.
+// Backends implementing storage.Viewer serve chunk bytes without a
+// defensive copy: verification only reads them. With join set, whichever
+// worker lands a module's last chunk assembles it with bytes.Join — one
+// copy into a buffer that is not zeroed first, returned as the module's
+// only part. Zeroing every buffer up front was a serial pass whose memory
+// had left the cache by the time it was filled, a quarter of a
+// memory-speed recovery; zeroing on first touch was still a tenth; and
+// joining after the fan-out instead of in it made the serving reads slower.
+func (s *Store) fetchPlan(sp *obs.Span, plan []planned, join bool) ([][][]byte, error) {
 	parts := make([][][]byte, len(plan))
 	missing := make([]atomic.Int32, len(plan))
 	var tasks []fetchTask
 	for pi, p := range plan {
-		if len(p.entry.Chunks) == 0 {
-			out[pi] = []byte{}
-		}
 		parts[pi] = make([][]byte, len(p.entry.Chunks))
+		if join && len(p.entry.Chunks) == 0 {
+			parts[pi] = [][]byte{{}}
+		}
 		missing[pi].Store(int32(len(p.entry.Chunks)))
 		var off int64
 		for i, c := range p.entry.Chunks {
@@ -1052,16 +1055,15 @@ func (s *Store) fetchPlan(sp *obs.Span, plan []planned) ([][]byte, error) {
 				t.entry.Module, t.round, t.idx, len(data), ref.Size)
 		}
 		parts[t.pi][t.idx] = data
-		if missing[t.pi].Add(-1) == 0 {
-			out[t.pi] = bytes.Join(parts[t.pi], nil)
-			parts[t.pi] = nil
+		if missing[t.pi].Add(-1) == 0 && join {
+			parts[t.pi] = [][]byte{bytes.Join(parts[t.pi], nil)}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return parts, nil
 }
 
 // GCStats reports what Retain removed.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -110,102 +111,207 @@ func EncodeTensors(tensors map[string][]float32) []byte {
 	return EncodeTensorList(list)
 }
 
-// checkedBody verifies a blob's checksum and magic and returns the bytes
-// the checksum covers plus the tensor count they announce.
-func checkedBody(blob []byte) (body []byte, count uint32, err error) {
-	// Minimum valid blob: magic + count + CRC (an empty tensor map).
-	if len(blob) < codecHeader+codecTrailer {
-		return nil, 0, fmt.Errorf("storage: blob too short (%d bytes)", len(blob))
-	}
-	body = blob[:len(blob)-codecTrailer]
-	le := binary.LittleEndian
-	if crc32.ChecksumIEEE(body) != le.Uint32(blob[len(body):]) {
-		return nil, 0, fmt.Errorf("storage: checksum mismatch")
-	}
-	if magic := le.Uint32(body); magic != codecMagic {
-		return nil, 0, fmt.Errorf("storage: bad magic %#x", magic)
-	}
-	return body, le.Uint32(body[4:]), nil
+// blobReader reads a blob held as parts front to back, across part
+// boundaries: a payload read from storage is decoded from its chunk
+// views, never joined first. Callers bound every read by the blob's size.
+type blobReader struct {
+	parts   [][]byte
+	cur     []byte // the unread rest of the current part
+	scratch []byte // holds what take returns when it straddles parts
 }
 
-// DecodeTensors parses a blob produced by EncodeTensors, verifying the
-// checksum and structural integrity. Every count the blob announces is
-// checked against the bytes that remain before anything is allocated for
-// it, so a crafted header cannot ask for more memory than the blob's size.
-func DecodeTensors(blob []byte) (map[string][]float32, error) {
-	body, count, err := checkedBody(blob)
-	if err != nil {
-		return nil, err
+func (r *blobReader) fill() {
+	for len(r.cur) == 0 && len(r.parts) > 0 {
+		r.cur, r.parts = r.parts[0], r.parts[1:]
+	}
+}
+
+// read fills dst with the next len(dst) bytes.
+func (r *blobReader) read(dst []byte) {
+	for len(dst) > 0 {
+		r.fill()
+		n := copy(dst, r.cur)
+		r.cur, dst = r.cur[n:], dst[n:]
+	}
+}
+
+// take returns the next n bytes: a view of the current part when they lie
+// in it, else a copy in scratch, valid until the next take.
+func (r *blobReader) take(n int) []byte {
+	r.fill()
+	if len(r.cur) >= n {
+		b := r.cur[:n]
+		r.cur = r.cur[n:]
+		return b
+	}
+	r.scratch = slices.Grow(r.scratch[:0], n)[:n]
+	r.read(r.scratch)
+	return r.scratch
+}
+
+func (r *blobReader) u32() uint32 {
+	r.fill()
+	if len(r.cur) >= 4 {
+		v := binary.LittleEndian.Uint32(r.cur)
+		r.cur = r.cur[4:]
+		return v
+	}
+	var b [4]byte
+	r.read(b[:])
+	return binary.LittleEndian.Uint32(b[:])
+}
+
+func (r *blobReader) skip(n int) {
+	for n > 0 {
+		r.fill()
+		k := min(n, len(r.cur))
+		r.cur = r.cur[k:]
+		n -= k
+	}
+}
+
+// floats fills dst straight from the parts; a float that content-defined
+// chunking cut in two is put together from both sides.
+func (r *blobReader) floats(dst []float32) {
+	for len(dst) > 0 {
+		r.fill()
+		if n := min(len(r.cur)/4, len(dst)); n > 0 {
+			r.cur = r.cur[getFloat32s(dst[:n], r.cur):]
+			dst = dst[n:]
+			continue
+		}
+		dst[0] = math.Float32frombits(r.u32())
+		dst = dst[1:]
+	}
+}
+
+// checkTensors is the decoder's check phase: the checksum, the magic and
+// the whole structure of a blob held as parts, with every count the blob
+// announces bounded by the bytes that remain before anything relies on
+// it. A non-nil want is the layout the blob must hold — same keys, same
+// order, same lengths; a nil want accepts any. visit, when set, sees each
+// tensor's key (valid during the call) and value count once both passed.
+// It writes nothing, so a blob it rejects leaves every destination as it
+// was.
+func checkTensors(parts [][]byte, want []Tensor, visit func(key []byte, n int)) error {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
+	// Minimum valid blob: magic + count + CRC (an empty tensor map).
+	if size < codecHeader+codecTrailer {
+		return fmt.Errorf("storage: blob too short (%d bytes)", size)
+	}
+	body := size - codecTrailer
+	crc, rest := uint32(0), body
+	for _, p := range parts {
+		k := min(len(p), rest)
+		crc = crc32.Update(crc, crc32.IEEETable, p[:k])
+		rest -= k
+	}
+	r := blobReader{parts: parts}
+	r.skip(body)
+	if crc != r.u32() {
+		return fmt.Errorf("storage: checksum mismatch")
+	}
+	r = blobReader{parts: parts}
+	if magic := r.u32(); magic != codecMagic {
+		return fmt.Errorf("storage: bad magic %#x", magic)
+	}
+	count := r.u32()
+	if want != nil && uint64(count) != uint64(len(want)) {
+		return fmt.Errorf("storage: blob holds %d tensors, want %d", count, len(want))
 	}
 	pos := codecHeader
-	if uint64(count) > uint64(len(body)-pos)/codecPerTensor {
-		return nil, fmt.Errorf("storage: blob of %d bytes cannot hold %d tensors", len(blob), count)
+	if uint64(count) > uint64(body-pos)/codecPerTensor {
+		return fmt.Errorf("storage: blob of %d bytes cannot hold %d tensors", size, count)
 	}
-	le := binary.LittleEndian
-	out := make(map[string][]float32, count)
-	for i := uint32(0); i < count; i++ {
-		if len(body)-pos < codecPerTensor {
-			return nil, fmt.Errorf("storage: truncated blob at offset %d", pos)
+	for i := 0; i < int(count); i++ {
+		if body-pos < codecPerTensor {
+			return fmt.Errorf("storage: truncated blob at offset %d", pos)
 		}
-		klen := le.Uint32(body[pos:])
+		klen := r.u32()
 		pos += 4
 		// The value count follows the key, so 4 bytes must remain after it.
-		if uint64(klen) > uint64(len(body)-pos-4) {
-			return nil, fmt.Errorf("storage: truncated key")
+		if uint64(klen) > uint64(body-pos-4) {
+			return fmt.Errorf("storage: truncated key")
 		}
-		key := string(body[pos : pos+int(klen)])
+		key := r.take(int(klen))
+		if want != nil && string(key) != want[i].Key {
+			return fmt.Errorf("storage: blob lacks tensor %q at offset %d", want[i].Key, pos-4)
+		}
 		pos += int(klen)
-		vlen := le.Uint32(body[pos:])
+		vlen := r.u32()
 		pos += 4
-		if uint64(vlen) > uint64(len(body)-pos)/4 {
-			return nil, fmt.Errorf("storage: truncated tensor %q", key)
+		if uint64(vlen) > uint64(body-pos)/4 {
+			return fmt.Errorf("storage: truncated tensor %q", key)
 		}
-		vals := make([]float32, vlen)
-		pos += getFloat32s(vals, body[pos:])
-		out[key] = vals
+		if want != nil && uint64(vlen) != uint64(len(want[i].Data)) {
+			return fmt.Errorf("storage: tensor %q holds %d values, want %d", key, vlen, len(want[i].Data))
+		}
+		if visit != nil {
+			visit(key, int(vlen))
+		}
+		r.skip(4 * int(vlen))
+		pos += 4 * int(vlen)
 	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("storage: %d trailing bytes", len(body)-pos)
+	if pos != body {
+		return fmt.Errorf("storage: %d trailing bytes", body-pos)
+	}
+	return nil
+}
+
+// CheckTensors verifies a blob held as parts — checksum and structure —
+// without decoding it: what a read-back verification needs.
+func CheckTensors(parts ...[]byte) error {
+	return checkTensors(parts, nil, nil)
+}
+
+// DecodeTensors parses a blob produced by EncodeTensors, held whole or as
+// parts, into fresh tensors once the checksum and the structure have
+// passed. Every count the blob announces is checked against the bytes that
+// remain before anything is allocated for it, so a crafted header cannot
+// ask for more memory than the blob's size.
+func DecodeTensors(parts ...[]byte) (map[string][]float32, error) {
+	var layout []Tensor
+	if err := checkTensors(parts, nil, func(key []byte, n int) {
+		layout = append(layout, Tensor{Key: string(key), Data: make([]float32, n)})
+	}); err != nil {
+		return nil, err
+	}
+	decodeChecked(parts, layout)
+	out := make(map[string][]float32, len(layout))
+	for _, t := range layout {
+		out[t.Key] = t.Data
 	}
 	return out, nil
 }
 
-// DecodeTensorsInto is the inverse of EncodeTensorList: it checks that
-// blob holds exactly the tensors of the layout — same keys, same order,
-// same lengths — and copies their values into the layout's Data. Nothing
-// is written until the checksum and the whole structure have passed, so a
-// rejected blob leaves the destination untouched.
-func DecodeTensorsInto(blob []byte, tensors []Tensor) error {
-	body, count, err := checkedBody(blob)
-	if err != nil {
+// DecodeTensorsInto is the inverse of EncodeTensorList for a blob held as
+// parts — a module's chunk views as storage returned them, or one whole
+// blob: it checks that the blob holds exactly the tensors of the layout —
+// same keys, same order, same lengths — and copies their values into the
+// layout's Data straight from the parts. Nothing is written until the
+// checksum and the whole structure have passed, so a rejected blob leaves
+// the destination untouched.
+func DecodeTensorsInto(parts [][]byte, tensors []Tensor) error {
+	if tensors == nil {
+		tensors = []Tensor{} // an empty layout, not checkTensors' "any"
+	}
+	if err := checkTensors(parts, tensors, nil); err != nil {
 		return err
 	}
-	if uint64(count) != uint64(len(tensors)) {
-		return fmt.Errorf("storage: blob holds %d tensors, want %d", count, len(tensors))
-	}
-	le := binary.LittleEndian
-	pos := codecHeader
-	for _, t := range tensors {
-		need := codecPerTensor + len(t.Key) + 4*len(t.Data)
-		if len(body)-pos < need {
-			return fmt.Errorf("storage: blob too short for tensor %q", t.Key)
-		}
-		// need bounds every read below once the key length is known to match.
-		if klen := le.Uint32(body[pos:]); uint64(klen) != uint64(len(t.Key)) || string(body[pos+4:pos+4+len(t.Key)]) != t.Key {
-			return fmt.Errorf("storage: blob lacks tensor %q at offset %d", t.Key, pos)
-		}
-		if vlen := le.Uint32(body[pos+4+len(t.Key):]); uint64(vlen) != uint64(len(t.Data)) {
-			return fmt.Errorf("storage: tensor %q holds %d values, want %d", t.Key, vlen, len(t.Data))
-		}
-		pos += need
-	}
-	if pos != len(body) {
-		return fmt.Errorf("storage: %d trailing bytes", len(body)-pos)
-	}
-	pos = codecHeader
-	for _, t := range tensors {
-		pos += codecPerTensor + len(t.Key)
-		pos += getFloat32s(t.Data, body[pos:])
-	}
+	decodeChecked(parts, tensors)
 	return nil
+}
+
+// decodeChecked is the decoder's copy phase, for a layout checkTensors
+// has accepted the parts for.
+func decodeChecked(parts [][]byte, tensors []Tensor) {
+	r := blobReader{parts: parts}
+	r.skip(codecHeader)
+	for _, t := range tensors {
+		r.skip(codecPerTensor + len(t.Key))
+		r.floats(t.Data)
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+	"weak"
 
 	"moc/internal/obs"
 	"moc/internal/storage/cas"
@@ -20,14 +22,18 @@ import (
 //
 // Whole restores coalesce per concurrent cohort only: one arriving after
 // the flight completed runs again (and is then served by the cache
-// tiers underneath). Subset reads additionally share the modules
-// restored most recently (recentBytes of them): serving readers ask for
+// tiers underneath). Subset reads additionally share every module payload
+// a subset read has returned that is still in memory: serving readers ask for
 // the same few hot modules over and over, and re-assembling one costs a
 // fetch, a SHA-256 pass and a module-sized buffer of fresh pages each
-// time. Either way the returned payloads are shared between callers —
-// treat them as read-only, or copy before mutating. The standard
-// recovery path (core.Agent) copies module payloads into tensors, so it
-// needs nothing extra.
+// time. The pool holds those payloads by weak reference, so sharing costs
+// no memory beyond what callers hold, and a payload lives until the
+// garbage collector finds no caller holding it — which payloads are
+// shared, and so Stats().Shared, depends on when the collector runs.
+// Either way the returned payloads are shared between callers — treat
+// them as read-only, or copy before mutating. The standard recovery path
+// (core.Agent) copies module payloads into tensors, so it needs nothing
+// extra.
 type Pool struct {
 	store *cas.Store
 	g     Group[map[string][]byte]
@@ -36,28 +42,18 @@ type Pool struct {
 	coalesced atomic.Int64
 	shared    atomic.Int64
 
-	mu          sync.Mutex
-	recent      []recentModule // oldest first
-	recentBytes int
-}
-
-// recentBytes bounds the payload bytes the pool keeps of recently
-// restored modules.
-const recentBytes = 1 << 20
-
-// recentModule is one restored payload, keyed by the manifest entry it
-// was assembled from: a rewritten round, Refresh and Retain install new
-// entries, so a stale payload can never be found again.
-type recentModule struct {
-	entry *cas.ModuleEntry
-	blob  []byte
+	mu sync.Mutex
+	// held maps a manifest entry to the first byte of the payload the pool
+	// last returned for it. Keyed by entry: a rewritten round, Refresh and
+	// Retain install new entries, so a stale payload is never found again.
+	held map[*cas.ModuleEntry]weak.Pointer[byte]
 }
 
 // PoolStats counts restore activity.
 type PoolStats struct {
 	// Restores counts calls; Coalesced the subset served by another
 	// caller's in-flight restore; Shared the subset reads served whole
-	// from recently restored modules (cas reads = Restores − Coalesced −
+	// from payloads still in memory (cas reads = Restores − Coalesced −
 	// Shared).
 	Restores, Coalesced, Shared int64
 }
@@ -67,7 +63,7 @@ func NewPool(store *cas.Store) (*Pool, error) {
 	if store == nil {
 		return nil, fmt.Errorf("readserve: nil store")
 	}
-	p := &Pool{store: store}
+	p := &Pool{store: store, held: make(map[*cas.ModuleEntry]weak.Pointer[byte])}
 	if obs.Enabled() {
 		p.registerObs()
 	}
@@ -89,7 +85,7 @@ func (p *Pool) ReadRound(round int) (map[string][]byte, error) {
 func (p *Pool) ReadModules(round int, modules []string) (map[string][]byte, error) {
 	names := append([]string(nil), modules...)
 	sort.Strings(names)
-	// Modules restored a moment ago are shared; only the rest is read.
+	// Payloads still in memory are shared; only the rest is read.
 	out := make(map[string][]byte, len(names))
 	entries := make(map[string]*cas.ModuleEntry, len(names))
 	miss := names[:0]
@@ -100,7 +96,7 @@ func (p *Pool) ReadModules(round int, modules []string) (map[string][]byte, erro
 		}
 		e := p.store.Entry(round, name) // nil: absent, the read reports it
 		entries[name] = e
-		if blob, ok := p.recentLocked(e); ok && e != nil {
+		if blob := p.heldLocked(e); blob != nil {
 			out[name] = blob
 		} else {
 			miss = append(miss, name)
@@ -130,37 +126,35 @@ func (p *Pool) ReadModules(round int, modules []string) (map[string][]byte, erro
 	return out, nil
 }
 
-func (p *Pool) recentLocked(e *cas.ModuleEntry) ([]byte, bool) {
-	for _, r := range p.recent {
-		if r.entry == e {
-			return r.blob, true
-		}
+// heldLocked returns the payload last returned for e if it is still in
+// memory, else nil (dropping the dead reference).
+func (p *Pool) heldLocked(e *cas.ModuleEntry) []byte {
+	w, ok := p.held[e]
+	if !ok {
+		return nil
 	}
-	return nil, false
+	first := w.Value()
+	if first == nil {
+		delete(p.held, e)
+		return nil
+	}
+	return unsafe.Slice(first, e.Size)
 }
 
-// rememberLocked appends a restored payload and drops the oldest ones
-// beyond recentBytes (a payload larger than that is not kept at all).
+// rememberLocked files a returned payload under its entry. An empty one
+// has no first byte to point at, and reading it again costs nothing.
 func (p *Pool) rememberLocked(e *cas.ModuleEntry, blob []byte) {
-	if _, ok := p.recentLocked(e); ok || e == nil || len(blob) > recentBytes {
+	if e == nil || len(blob) == 0 || int64(len(blob)) != e.Size {
 		return
 	}
-	p.recent = append(p.recent, recentModule{e, blob})
-	p.recentBytes += len(blob)
-	drop := 0
-	for p.recentBytes > recentBytes {
-		p.recentBytes -= len(p.recent[drop].blob)
-		drop++
-	}
-	p.recent = append(p.recent[:0], p.recent[drop:]...)
-	clear(p.recent[len(p.recent) : len(p.recent)+drop])
+	p.held[e] = weak.Make(&blob[0])
 }
 
-// Forget drops the recently restored modules — what a reader does when it
+// Forget drops every payload reference — what a reader does when it
 // refreshes its view of the store.
 func (p *Pool) Forget() {
 	p.mu.Lock()
-	p.recent, p.recentBytes = nil, 0
+	clear(p.held)
 	p.mu.Unlock()
 }
 

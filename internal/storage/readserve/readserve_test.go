@@ -3,7 +3,7 @@ package readserve
 import (
 	"bytes"
 	"errors"
-	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -514,12 +514,13 @@ func TestNodeShardPassthroughDefaults(t *testing.T) {
 	}
 }
 
-// TestPoolSharesRecentlyRestoredModules: a subset read finds the modules
-// restored a moment earlier and reads only the rest; the shared payload is
-// the same buffer, not a copy; the memory kept is bounded; and a payload
-// can never outlive what it was read from — rewriting the round, or
-// forgetting on refresh, makes the next read go back to the store.
-func TestPoolSharesRecentlyRestoredModules(t *testing.T) {
+// TestPoolSharesPayloadsStillInMemory: a subset read finds the modules a
+// caller still holds and reads only the rest; the shared payload is the
+// same buffer, not a copy; a payload no caller holds any more is gone once
+// the collector has run, so the next read fetches it again; and a payload
+// can never outlive what it was read from — rewriting the round, a store
+// Refresh, or Forget makes the next read go back to the store.
+func TestPoolSharesPayloadsStillInMemory(t *testing.T) {
 	mem := storage.NewMemStore()
 	want := seedRound(t, mem, 3, "w0/a", "w0/b", "w0/c")
 	gate := &gateStore{PersistStore: mem, release: make(chan struct{})}
@@ -545,29 +546,62 @@ func TestPoolSharesRecentlyRestoredModules(t *testing.T) {
 		}
 		return got
 	}
-	first := read("w0/a", "w0/b")
-	afterFirst := gate.chunkGets.Load()
-	again := read("w0/b", "w0/a", "w0/a")
-	if gate.chunkGets.Load() != afterFirst {
-		t.Fatalf("a repeated subset fetched %d more chunks", gate.chunkGets.Load()-afterFirst)
+	chunks := func(names ...string) (n int64) {
+		for _, name := range names {
+			n += int64((len(want[name]) + 511) / 512)
+		}
+		return n
 	}
+	fetched := func(since int64, wantGets int64, what string) int64 {
+		t.Helper()
+		now := gate.chunkGets.Load()
+		if now-since != wantGets {
+			t.Fatalf("%s fetched %d chunks, want %d", what, now-since, wantGets)
+		}
+		return now
+	}
+
+	// Shared while held.
+	first := read("w0/a", "w0/b")
+	gets := gate.chunkGets.Load()
+	again := read("w0/b", "w0/a", "w0/a")
+	gets = fetched(gets, 0, "a repeated subset")
 	if &again["w0/a"][0] != &first["w0/a"][0] {
 		t.Fatal("the repeated read copied the payload instead of sharing it")
 	}
-	// One module known, one not: only the unknown one is read.
+	// One module held, one not: only the other one is read.
 	read("w0/a", "w0/c")
-	if got, wantGets := gate.chunkGets.Load()-afterFirst, int64((len(want["w0/c"])+511)/512); got != wantGets {
-		t.Fatalf("mixed subset fetched %d chunks, module c alone has %d", got, wantGets)
-	}
+	gets = fetched(gets, chunks("w0/c"), "a mixed subset")
 	if ps := pool.Stats(); ps.Restores != 3 || ps.Shared != 1 || ps.Coalesced != 0 {
 		t.Fatalf("pool stats = %+v, want 3 restores / 1 shared", ps)
 	}
 	if _, err := pool.ReadModules(3, []string{"w0/a", "nope"}); !errors.Is(err, cas.ErrModuleNotFound) {
 		t.Fatalf("absent module beside a shared one: %v", err)
 	}
+	runtime.KeepAlive(first)
+	runtime.KeepAlive(again)
 
-	// The same writer commits round 3 again with other bytes: the shared
-	// payload belongs to a manifest entry that no longer resolves.
+	// Fetched again once dropped: no caller holds a or b, and the pool's
+	// reference does not keep them.
+	first, again = nil, nil
+	runtime.GC()
+	held := read("w0/a", "w0/b")
+	gets = fetched(gets, chunks("w0/a", "w0/b"), "a subset dropped and collected")
+
+	// Never served across a store Refresh: the held payload belongs to a
+	// manifest entry the store no longer resolves.
+	if err := st.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	refreshed := read("w0/a")
+	gets = fetched(gets, chunks("w0/a"), "a read after Refresh")
+	if &refreshed["w0/a"][0] == &held["w0/a"][0] {
+		t.Fatal("a payload read before Refresh was served after it")
+	}
+	read("w0/a")
+	gets = fetched(gets, 0, "a repeated read after Refresh")
+
+	// Nor across a rewrite of the round, nor across Forget.
 	rewritten := bytes.Repeat([]byte{'z'}, 1024)
 	if _, err := st.WriteRound(3, map[string][]byte{"w0/a": rewritten}); err != nil {
 		t.Fatal(err)
@@ -575,38 +609,13 @@ func TestPoolSharesRecentlyRestoredModules(t *testing.T) {
 	if got, err := pool.ReadModules(3, []string{"w0/a"}); err != nil || !bytes.Equal(got["w0/a"], rewritten) {
 		t.Fatalf("read after rewrite returned the old payload (%v)", err)
 	}
-	before := gate.chunkGets.Load()
+	gets = gate.chunkGets.Load()
 	pool.Forget()
-	if got, err := pool.ReadModules(3, []string{"w0/a"}); err != nil || !bytes.Equal(got["w0/a"], rewritten) || gate.chunkGets.Load() == before {
+	if got, err := pool.ReadModules(3, []string{"w0/a"}); err != nil || !bytes.Equal(got["w0/a"], rewritten) || gate.chunkGets.Load() == gets {
 		t.Fatalf("read after Forget did not go back to the store (%v)", err)
 	}
-
-	// Bounded: many distinct modules leave at most recentBytes behind, and
-	// nothing of the dropped ones.
-	big := make(map[string][]byte)
-	for i := 0; i < 40; i++ {
-		big[fmt.Sprintf("big/%02d", i)] = bytes.Repeat([]byte{byte(i)}, 100<<10)
-	}
-	if _, err := st.WriteRound(4, big); err != nil {
-		t.Fatal(err)
-	}
-	for name := range big {
-		if _, err := pool.ReadModules(4, []string{name}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pool.mu.Lock()
-	kept, bytesKept := len(pool.recent), pool.recentBytes
-	tail := pool.recent[len(pool.recent):cap(pool.recent)]
-	pool.mu.Unlock()
-	if bytesKept > recentBytes || kept != recentBytes/(100<<10) {
-		t.Fatalf("pool keeps %d payloads / %d bytes, bound is %d bytes", kept, bytesKept, recentBytes)
-	}
-	for _, r := range tail {
-		if r.blob != nil {
-			t.Fatal("a dropped payload is still referenced behind the slice")
-		}
-	}
+	runtime.KeepAlive(held)
+	runtime.KeepAlive(refreshed)
 }
 
 func TestPoolSharingIsSafeUnderConcurrentReaders(t *testing.T) {

@@ -593,7 +593,7 @@ func TestDecodeBoundsCountsBeforeAllocating(t *testing.T) {
 			t.Errorf("%s: decoder allocated %d bytes for a %d-byte blob", name, grew, len(blob))
 		}
 		dst := []Tensor{{"k", make([]float32, 1)}}
-		if err := DecodeTensorsInto(blob, dst); err == nil {
+		if err := DecodeTensorsInto([][]byte{blob}, dst); err == nil {
 			t.Errorf("%s: crafted blob decoded into a layout", name)
 		}
 	}
@@ -604,7 +604,7 @@ func TestDecodeTensorsIntoRoundTrip(t *testing.T) {
 	blob := EncodeTensorList(src)
 	defer PutBuf(blob)
 	dst := []Tensor{{"p0", make([]float32, 3)}, {"p1", nil}, {"p10", make([]float32, 1)}, {"p2", make([]float32, 2)}}
-	if err := DecodeTensorsInto(blob, dst); err != nil {
+	if err := DecodeTensorsInto([][]byte{blob}, dst); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
@@ -660,7 +660,7 @@ func TestDecodeTensorsIntoRejectsWithoutWriting(t *testing.T) {
 	}
 	for name, build := range cases {
 		b, dst := build()
-		if err := DecodeTensorsInto(b, dst); err == nil {
+		if err := DecodeTensorsInto([][]byte{b}, dst); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		untouched(t, dst)
@@ -671,13 +671,13 @@ func TestDecodeTensorsIntoRejectsWithoutWriting(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[i] ^= 0x40
 		dst := layout()
-		if err := DecodeTensorsInto(bad, dst); err == nil {
+		if err := DecodeTensorsInto([][]byte{bad}, dst); err == nil {
 			t.Fatalf("corruption at byte %d accepted", i)
 		}
 		untouched(t, dst)
 	}
 	dst := layout()
-	if err := DecodeTensorsInto(blob, dst); err != nil || dst[0].Data[2] != 3 || dst[1].Data[1] != 5 {
+	if err := DecodeTensorsInto([][]byte{blob}, dst); err != nil || dst[0].Data[2] != 3 || dst[1].Data[1] != 5 {
 		t.Fatalf("intact blob: %v %v", err, dst)
 	}
 }

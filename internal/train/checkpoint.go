@@ -89,7 +89,8 @@ func (m *Model) splitKey(key string) (mod *module, weights, ok bool) {
 // semantics. Every key is resolved and the metadata checked before any
 // parameter is written; the blobs are then taken in sorted key order, each
 // verified whole (checksum, tensor names, lengths) and decoded straight
-// into its parameters. A rejected blob leaves its module and those after
+// into its parameters — from the store's chunk views when the module came
+// from storage, with no joined copy in between. A rejected blob leaves its module and those after
 // it untouched, so of several bad blobs the one with the lowest key is
 // reported, on every run. The decode stays on the calling goroutine on
 // purpose: the blobs write disjoint parameters and could be decoded in
@@ -102,7 +103,7 @@ func (m *Model) Restore(rec map[string]core.RecoveredModule) (iteration int, err
 	if !ok {
 		return 0, fmt.Errorf("train: recovery lacks %q", metaKey)
 	}
-	metaT, err := storage.DecodeTensors(meta.Blob)
+	metaT, err := storage.DecodeTensors(meta.Parts()...)
 	if err != nil {
 		return 0, fmt.Errorf("train: decode meta: %w", err)
 	}
@@ -130,7 +131,7 @@ func (m *Model) Restore(rec map[string]core.RecoveredModule) (iteration int, err
 	}
 
 	for i, key := range keys {
-		if err := storage.DecodeTensorsInto(rec[key].Blob, layouts[i]); err != nil {
+		if err := storage.DecodeTensorsInto(rec[key].Parts(), layouts[i]); err != nil {
 			return 0, fmt.Errorf("train: restore %q: %w", key, err)
 		}
 	}

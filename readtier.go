@@ -69,9 +69,10 @@ type RestorePoolStats = readserve.PoolStats
 // store: concurrent restores of the same round — or the same module
 // subset — share one recovery fan-out instead of each walking the
 // manifest and fetching every chunk independently, and a subset read
-// shares the modules restored most recently (about 1 MiB of them; Refresh
-// forgets them). Returned payloads are shared between callers; treat them
-// as read-only or copy before mutating.
+// shares every module payload the pool returned that some caller still
+// holds (or the garbage collector has not yet reclaimed; Refresh forgets
+// them). Returned payloads are shared between callers; treat them as
+// read-only or copy before mutating.
 type RestorePool struct {
 	store *cas.Store
 	pool  *readserve.Pool

@@ -1,11 +1,14 @@
 package moc
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"moc/internal/core"
 	"moc/internal/storage"
+	"moc/internal/storage/cas"
 	"moc/internal/train"
 )
 
@@ -184,5 +187,56 @@ func TestInjectFaultRestoresFromLentSnapshots(t *testing.T) {
 	}
 	if a, b := sys.Stats().Checkpoints, ref.Stats().Checkpoints; a != b || a < 5 {
 		t.Fatalf("%d checkpoints after the fault, the twin %d, want the same and the one at iteration 25 among them", a, b)
+	}
+}
+
+// TestStorageRecoveryDecodesFromChunkViews: on the bench's full_persist
+// shape — full checkpoints, no snapshot level, so every module comes back
+// from storage — an InjectFault decodes straight from the store's chunk
+// views and allocates under 1 MB, where joining each module first
+// allocated the model's size again (12.1 MB). A flipped bit in a chunk the
+// recovery reads still fails the fault closed, with no parameter written.
+func TestStorageRecoveryDecodesFromChunkViews(t *testing.T) {
+	cfg := Config{Layers: 3, Hidden: 96, Experts: 8, TopK: 2, BatchSize: 4, AuxLossCoeff: 0.01, Interval: 2, Seed: 1}
+	store := NewMemStore()
+	sys, err := NewSystem(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	steps(t, sys, 8)
+	if err := sys.InjectFault(); err != nil { // the first fault sets up what later ones reuse
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := sys.InjectFault(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a storage-served fault allocated %.1f MB, want under 1", float64(grew)/1e6)
+	}
+
+	cs, err := cas.Open(store, cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest := sys.agent.LatestCompleteRound()
+	victim := cas.ChunkKey(cs.ManifestsForRound(latest)[0].Modules[0].Chunks[0].Hash)
+	data, err := store.Get(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x08
+	if err := store.Put(victim, data); err != nil {
+		t.Fatal(err)
+	}
+	state, iter := sys.model.CloneState(), sys.Iteration()
+	if err := sys.InjectFault(); err == nil || !strings.Contains(err.Error(), "does not match address") {
+		t.Fatalf("recovery over a flipped chunk: %v", err)
+	}
+	if sys.Iteration() != iter || !reflect.DeepEqual(sys.model.CloneState(), state) {
+		t.Fatal("a failed recovery wrote the model")
 	}
 }
