@@ -97,17 +97,41 @@ func parseManifestKey(key string) (round int, writer string, ok bool) {
 	return r, rest[dot+1:], true
 }
 
-// splitChunks cuts a payload into fixed-size chunks (the last may be
-// short). An empty payload yields no chunks. The chunks alias blob;
-// WriteRound hands them to the backend as they are (Put does not retain).
+// splitChunks cuts a payload into fixed-size chunks. Every chunk but the
+// last is exactly size bytes. A remainder of at least size/4 becomes a
+// short last chunk; a shorter one rides in the last full chunk, which is
+// then under 1.25 × size. Each chunk costs a backend request, and a tail
+// of a few hundred bytes would pay a whole round trip for almost nothing;
+// this way no chunk is shorter than CDC's default minimum unless the
+// whole payload is. An empty payload yields no chunks. The chunks alias
+// blob; WriteRound hands them to the backend as they are (Put does not
+// retain).
+//
+// Manifests record every chunk's size, so stores whose tails were cut as
+// chunks of their own read as they are.
 func splitChunks(blob []byte, size int) [][]byte {
-	if len(blob) == 0 {
+	n := fixedChunkCount(len(blob), size)
+	if n == 0 {
 		return nil
 	}
-	out := make([][]byte, 0, (len(blob)+size-1)/size)
-	for len(blob) > size {
+	out := make([][]byte, 0, n)
+	for i := 1; i < n; i++ {
 		out = append(out, blob[:size])
 		blob = blob[size:]
 	}
 	return append(out, blob)
+}
+
+// fixedChunkCount is the number of chunks splitChunks cuts a payload of
+// n bytes into: ⌊n/size⌋ when the remainder is under size/4, otherwise
+// ⌈n/size⌉, and at least 1 when n > 0.
+func fixedChunkCount(n, size int) int {
+	if n == 0 {
+		return 0
+	}
+	k := n / size
+	if tail := n % size; k == 0 || tail > 0 && tail >= size/4 {
+		k++
+	}
+	return k
 }

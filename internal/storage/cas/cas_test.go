@@ -98,12 +98,19 @@ func TestManifestCodecRejectsCorruption(t *testing.T) {
 }
 
 func TestSplitChunks(t *testing.T) {
+	// With C = 64 a remainder under C/4 = 16 rides in the last full chunk.
 	for _, tc := range []struct {
 		n, size int
 		want    []int
 	}{
-		{0, 4, nil}, {3, 4, []int{3}}, {4, 4, []int{4}},
-		{5, 4, []int{4, 1}}, {12, 4, []int{4, 4, 4}}, {13, 4, []int{4, 4, 4, 1}},
+		{0, 64, nil},
+		{1, 64, []int{1}}, {15, 64, []int{15}}, {16, 64, []int{16}}, {63, 64, []int{63}}, // L < C
+		{64, 64, []int{64}}, {192, 64, []int{64, 64, 64}}, // kC
+		{65, 64, []int{65}}, {193, 64, []int{64, 64, 65}}, // kC + 1
+		{79, 64, []int{79}}, {207, 64, []int{64, 64, 79}}, // kC + C/4 − 1
+		{80, 64, []int{64, 16}}, {208, 64, []int{64, 64, 64, 16}}, // kC + C/4
+		{5, 4, []int{4, 1}}, {13, 4, []int{4, 4, 4, 1}}, // C/4 = 1: no remainder is short enough
+		{21, 10, []int{10, 11}}, {22, 10, []int{10, 10, 2}}, // C/4 rounds down
 	} {
 		got := splitChunks(payload(1, tc.n), tc.size)
 		var sizes []int
@@ -112,8 +119,8 @@ func TestSplitChunks(t *testing.T) {
 			sizes = append(sizes, len(c))
 			total += len(c)
 		}
-		if !reflect.DeepEqual(sizes, tc.want) || total != tc.n {
-			t.Fatalf("split %d/%d: sizes %v, want %v", tc.n, tc.size, sizes, tc.want)
+		if !reflect.DeepEqual(sizes, tc.want) || total != tc.n || len(got) != fixedChunkCount(tc.n, tc.size) {
+			t.Fatalf("split %d/%d: sizes %v, want %v (count rule says %d)", tc.n, tc.size, sizes, tc.want, fixedChunkCount(tc.n, tc.size))
 		}
 	}
 }

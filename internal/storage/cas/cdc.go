@@ -16,8 +16,9 @@ import "fmt"
 type Chunking int
 
 const (
-	// ChunkingFixed cuts payloads at fixed ChunkSize boundaries (the
-	// default). Cheapest, and optimal for pure in-place updates.
+	// ChunkingFixed cuts payloads at fixed ChunkSize boundaries, a
+	// remainder under ChunkSize/4 riding in the last chunk (the default).
+	// Cheapest, and optimal for pure in-place updates.
 	ChunkingFixed Chunking = iota
 	// ChunkingCDC cuts payloads where a gear rolling hash hits a mask,
 	// bounded by MinChunkSize/MaxChunkSize around the ChunkSize target.

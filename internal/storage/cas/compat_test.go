@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,15 +19,31 @@ import (
 	"moc/internal/storage"
 )
 
-// writeV1Store populates a backend the way the pre-CDC code did: chunks
-// under the chunk prefix and a version-1 (legacy magic, no version
-// field) manifest as the commit point.
-func writeV1Store(t *testing.T, backend storage.PersistStore, round int, writer string, modules map[string][]byte, chunkSize int) *Manifest {
+// splitShortTails cuts a payload the way fixed chunking did before short
+// remainders rode in the last full chunk: every remainder, however short,
+// a chunk of its own.
+func splitShortTails(blob []byte, size int) [][]byte {
+	var out [][]byte
+	for len(blob) > size {
+		out = append(out, blob[:size])
+		blob = blob[size:]
+	}
+	if len(blob) > 0 {
+		out = append(out, blob)
+	}
+	return out
+}
+
+// writeLegacyStore populates a backend the way earlier builds did: chunks
+// cut with short tails under the chunk prefix, and a manifest of the given
+// version as the commit point (1 is the pre-CDC format: legacy magic, no
+// version field).
+func writeLegacyStore(t *testing.T, backend storage.PersistStore, round int, writer string, version int, modules map[string][]byte, chunkSize int) *Manifest {
 	t.Helper()
-	m := &Manifest{Round: round, Writer: writer, Version: 1}
+	m := &Manifest{Round: round, Writer: writer, Version: version}
 	for name, blob := range modules {
 		e := ModuleEntry{Module: name, Size: int64(len(blob))}
-		for _, chunk := range splitChunks(blob, chunkSize) {
+		for _, chunk := range splitShortTails(blob, chunkSize) {
 			h := HashBytes(chunk)
 			e.Chunks = append(e.Chunks, ChunkRef{Hash: h, Size: uint32(len(chunk))})
 			if err := backend.Put(ChunkKey(h), append([]byte(nil), chunk...)); err != nil {
@@ -35,8 +52,9 @@ func writeV1Store(t *testing.T, backend storage.PersistStore, round int, writer 
 		}
 		m.Modules = append(m.Modules, e)
 	}
+	sort.Slice(m.Modules, func(i, j int) bool { return m.Modules[i].Module < m.Modules[j].Module })
 	blob := EncodeManifest(m)
-	if got := binary.LittleEndian.Uint32(blob); got != manifestMagic {
+	if got := binary.LittleEndian.Uint32(blob); version == 1 && got != manifestMagic {
 		t.Fatalf("v1 encoder wrote magic %#x, want legacy %#x", got, manifestMagic)
 	}
 	if err := backend.Put(manifestKey(round, writer), blob); err != nil {
@@ -50,7 +68,7 @@ func TestV1ManifestRoundTripThroughNewCodec(t *testing.T) {
 	// chunks) must open, read, audit, retain, and dedup correctly.
 	backend := storage.NewMemStore()
 	old := payload(3, 300)
-	writeV1Store(t, backend, 0, "legacy", map[string][]byte{"m": old, "gone": payload(4, 64)}, 64)
+	writeLegacyStore(t, backend, 0, "legacy", 1, map[string][]byte{"m": old, "gone": payload(4, 64)}, 64)
 
 	s, err := Open(backend, Options{ChunkSize: 64, Writer: "new"})
 	if err != nil {
@@ -105,6 +123,95 @@ func TestV1ManifestRoundTripThroughNewCodec(t *testing.T) {
 	}
 	if got, err := s.ReadModule(0, "m"); err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("v1 round unreadable after gc: %v", err)
+	}
+}
+
+// TestShortTailStoreReadsAndUpgrades: a store whose fixed chunking cut
+// every remainder as a chunk of its own reads back bit for bit through
+// the recovery read (ReadAcross), and the first round written over it
+// with unchanged payloads uploads exactly one chunk per module whose tail
+// was short — the merged last chunk — and nothing for the others.
+func TestShortTailStoreReadsAndUpgrades(t *testing.T) {
+	const c = 64
+	modules := map[string][]byte{
+		"short":      payload(1, 3*c+5),   // 5-byte tail: merges
+		"short-edge": payload(2, c+c/4-1), // 15-byte tail: merges
+		"long":       payload(3, 2*c+c/4), // 16-byte tail: stays its own chunk
+		"whole":      payload(4, 2*c),     // no tail
+		"tiny":       payload(5, 7),       // shorter than a chunk
+		"empty":      {},
+	}
+	merged := map[string]bool{"short": true, "short-edge": true}
+	backend := storage.NewMemStore()
+	old := writeLegacyStore(t, backend, 0, "old", ManifestVersion, modules, c)
+	if n := len(old.Lookup("short").Chunks); n != 4 {
+		t.Fatalf("legacy store cut %q into %d chunks, want 4 (a short tail of its own)", "short", n)
+	}
+
+	s, err := Open(backend, Options{ChunkSize: c, Writer: "new"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(modules))
+	for name := range modules {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	readsOf := func(round int) []ModuleAt {
+		reads := make([]ModuleAt, len(names))
+		for i, name := range names {
+			reads[i] = ModuleAt{Round: round, Module: name}
+		}
+		return reads
+	}
+	recovered := func(round int) {
+		t.Helper()
+		parts, err := s.ReadAcross(readsOf(round))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for i, name := range names {
+			if got := bytes.Join(parts[i], nil); !bytes.Equal(got, modules[name]) {
+				t.Fatalf("round %d: %s recovered %d bytes that differ from the %d written", round, name, len(got), len(modules[name]))
+			}
+		}
+	}
+	recovered(0)
+
+	var wantBytes int64
+	for name := range merged {
+		wantBytes += int64(c + len(modules[name])%c)
+	}
+	puts0, _ := backend.Stats()
+	m, err := s.WriteRound(1, modules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts1, _ := backend.Stats()
+	if st := s.Stats(); st.ChunksWritten != int64(len(merged)) || st.BytesWritten != wantBytes || puts1-puts0 != len(merged)+1 {
+		t.Fatalf("first round over the short-tail store wrote %d chunks (%d bytes) in %d puts, want %d merged last chunks (%d bytes) plus the manifest",
+			st.ChunksWritten, st.BytesWritten, puts1-puts0, len(merged), wantBytes)
+	}
+	for _, e := range m.Modules {
+		if want := fixedChunkCount(int(e.Size), c); len(e.Chunks) != want {
+			t.Fatalf("%s: %d chunks in the new manifest, want %d", e.Module, len(e.Chunks), want)
+		}
+		if prev := old.Lookup(e.Module); merged[e.Module] != (len(prev.Chunks) != len(e.Chunks)) {
+			t.Fatalf("%s: %d legacy chunks, %d now", e.Module, len(prev.Chunks), len(e.Chunks))
+		}
+	}
+	recovered(1)
+
+	// Nothing further to upload once the merged chunks are stored.
+	if _, err := s.WriteRound(2, modules); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.ChunksWritten != int64(len(merged)) {
+		t.Fatalf("second round over the short-tail store wrote %d more chunks", st.ChunksWritten-int64(len(merged)))
+	}
+	recovered(0)
+	if rep, err := s.Audit(); err != nil || len(rep.Missing) != 0 || len(rep.Orphans) != 0 {
+		t.Fatalf("audit of the mixed store: %+v %v", rep, err)
 	}
 }
 

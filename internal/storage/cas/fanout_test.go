@@ -21,7 +21,7 @@ func TestFanOutLowestErrorAndStop(t *testing.T) {
 	const n, width, firstBad = 200, 4, 9
 	for run := 0; run < 50; run++ {
 		var calls atomic.Int64
-		err := fanOut(nil, "t", n, width, func(i int) error {
+		err := fanOut(nil, "t", n, width, 0, func(i int) error {
 			calls.Add(1)
 			if i >= firstBad {
 				return fmt.Errorf("task %d", i)
@@ -38,7 +38,7 @@ func TestFanOutLowestErrorAndStop(t *testing.T) {
 	// Below the small-batch threshold the calls run in order on the
 	// calling goroutine and stop at the first failure.
 	var order []int
-	err := fanOut(nil, "t", minParallelTasks-1, width, func(i int) error {
+	err := fanOut(nil, "t", minParallelTasks-1, width, minParallelBytes-1, func(i int) error {
 		order = append(order, i)
 		if i == 2 {
 			return errors.New("boom")
@@ -47,6 +47,17 @@ func TestFanOutLowestErrorAndStop(t *testing.T) {
 	})
 	if err == nil || fmt.Sprint(order) != "[0 1 2]" {
 		t.Fatalf("inline fan-out: err %v, order %v", err, order)
+	}
+	// A batch as small carrying enough payload runs on workers: each call
+	// waits for the other, so run one after the other they never return.
+	var both sync.WaitGroup
+	both.Add(2)
+	if err := fanOut(nil, "t", 2, width, minParallelBytes, func(int) error {
+		both.Done()
+		both.Wait()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

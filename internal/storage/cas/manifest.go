@@ -221,6 +221,12 @@ func DecodeManifest(blob []byte) (*Manifest, error) {
 		if err != nil {
 			return nil, err
 		}
+		// EncodeManifest writes entries in strictly ascending order, and
+		// Lookup's binary search relies on it: out of order, a present
+		// module would read as missing.
+		if i > 0 && module <= m.Modules[i-1].Module {
+			return nil, fmt.Errorf("cas: manifest entry %q out of order after %q", module, m.Modules[i-1].Module)
+		}
 		size, err := next64()
 		if err != nil {
 			return nil, err

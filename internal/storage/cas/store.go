@@ -22,9 +22,12 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// ChunkSize is the chunk length in bytes (default 64 KiB): the exact
-	// length under ChunkingFixed, the average target under ChunkingCDC.
-	// Smaller chunks dedup at finer granularity at the cost of more keys.
+	// ChunkSize is the chunk length in bytes (default 64 KiB). Under
+	// ChunkingFixed every chunk of a payload but the last is exactly
+	// ChunkSize, and the last is under 1.25 × ChunkSize: a remainder
+	// shorter than ChunkSize/4 rides in the last full chunk. Under
+	// ChunkingCDC it is the average target. Smaller chunks dedup at finer
+	// granularity at the cost of more keys.
 	ChunkSize int
 	// Chunking selects the chunker (default ChunkingFixed). ChunkingCDC
 	// places boundaries by a content-defined rolling hash, so dedup
@@ -392,7 +395,7 @@ func loadManifests(backend storage.PersistStore, width int) ([]*Manifest, error)
 		return nil, fmt.Errorf("cas: scan manifests: %w", err)
 	}
 	out := make([]*Manifest, len(keys))
-	err = fanOut(nil, "manifest", len(keys), width, func(i int) error {
+	err = fanOut(nil, "manifest", len(keys), width, 0, func(i int) error {
 		k := keys[i]
 		round, writer, ok := parseManifestKey(k)
 		if !ok {
@@ -418,24 +421,31 @@ func loadManifests(backend storage.PersistStore, width int) ([]*Manifest, error)
 	return out, nil
 }
 
-// minParallelTasks is the batch size below which fanOut stays on the
-// calling goroutine — spawning workers for a few memory-speed requests
-// costs more than it overlaps.
-const minParallelTasks = 8
+// minParallelTasks and minParallelBytes bound the batches fanOut runs on
+// the calling goroutine: spawning workers for a few memory-speed requests
+// costs more than it overlaps, unless the requests carry enough payload
+// that verifying it — a SHA-256 pass over every byte — is worth a second
+// core. A subset read of four full-size modules is a handful of chunks
+// but a quarter of a megabyte to hash.
+const (
+	minParallelTasks = 8
+	minParallelBytes = 128 << 10
+)
 
 // fanOut runs fn(0) … fn(n-1) with at most width calls in flight and
 // returns when all started calls have. It is the one bounded worker loop
 // of the read side: chunk fetches, manifest loads and the GC sweep all go
-// through it. After a failure no further index is handed out; indices
-// are handed out in order and a claimed index always runs, so of several
-// failing calls the lowest index's error is the one reported, whatever
-// the scheduling. Under a tracing span each worker records a child span
-// named stage on its own lane.
-func fanOut(sp *obs.Span, stage string, n, width int, fn func(i int) error) error {
+// through it. payload is the bytes the calls carry (0 when unknown). After
+// a failure no further index is handed out; indices are handed out in
+// order and a claimed index always runs, so of several failing calls the
+// lowest index's error is the one reported, whatever the scheduling. Under
+// a tracing span each worker records a child span named stage on its own
+// lane.
+func fanOut(sp *obs.Span, stage string, n, width int, payload int64, fn func(i int) error) error {
 	if width > n {
 		width = n
 	}
-	if width <= 1 || n < minParallelTasks {
+	if width <= 1 || n < minParallelTasks && payload < minParallelBytes {
 		wsp := sp.Child(stage)
 		defer wsp.End()
 		for i := 0; i < n; i++ {
@@ -1015,7 +1025,9 @@ func (s *Store) fetchPlan(sp *obs.Span, plan []planned, join bool) ([][][]byte, 
 	parts := make([][][]byte, len(plan))
 	missing := make([]atomic.Int32, len(plan))
 	var tasks []fetchTask
+	var payload int64
 	for pi, p := range plan {
+		payload += p.entry.Size
 		parts[pi] = make([][]byte, len(p.entry.Chunks))
 		if join && len(p.entry.Chunks) == 0 {
 			parts[pi] = [][]byte{{}}
@@ -1033,7 +1045,7 @@ func (s *Store) fetchPlan(sp *obs.Span, plan []planned, join bool) ([][][]byte, 
 
 	viewer, _ := s.backend.(storage.Viewer)
 	sp.AttrInt("chunks", int64(len(tasks)))
-	err := fanOut(sp, "fetch", len(tasks), s.opts.ReadWorkers, func(i int) error {
+	err := fanOut(sp, "fetch", len(tasks), s.opts.ReadWorkers, payload, func(i int) error {
 		t := &tasks[i]
 		ref := t.entry.Chunks[t.idx]
 		var data []byte
@@ -1246,7 +1258,7 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 	// the read width. A failure stops the sweep with the totals of what was
 	// removed.
 	var deleted, freed atomic.Int64
-	err = fanOut(nil, "sweep", len(sweep), s.opts.ReadWorkers, func(i int) error {
+	err = fanOut(nil, "sweep", len(sweep), s.opts.ReadWorkers, 0, func(i int) error {
 		h := sweep[i]
 		size, listed := dropped[h]
 		if !listed {

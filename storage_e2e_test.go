@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	moc "moc"
+	"moc/internal/storage/cas"
 	"moc/internal/storage/storagetest"
 )
 
@@ -376,5 +377,87 @@ func TestPublicCompositionsDoNotRetainPuts(t *testing.T) {
 		"cold_recover": cached, "fleet_mixed": sharded, "fleet_mixed/read-tier": node,
 	} {
 		t.Run(name, func(t *testing.T) { storagetest.CheckPutDoesNotRetain(t, store) })
+	}
+}
+
+// A cold resume issues one remote Get per manifest and one per chunk of
+// every module it recovers, and the chunk count follows from the module
+// sizes alone: fixed chunking cuts L bytes into ⌊L/C⌋ chunks when the
+// remainder is under C/4 (it rides in the last full chunk), ⌈L/C⌉
+// otherwise, none for an empty payload and at least one for any other.
+// The model is the benchmark's cold_recover shape, whose expert, embedding
+// and head payloads run a few hundred bytes to 2 KB past a multiple of
+// 64 KiB. SleepScale 0 keeps the remote's clock virtual.
+func TestColdResumeGetsFollowModuleSizes(t *testing.T) {
+	mem := moc.NewMemStore()
+	remote, err := moc.NewRemoteStoreOver(mem, moc.RemoteConfig{LatencySeconds: 0.004, MaxConcurrent: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := moc.Config{
+		Layers: 2, Hidden: 64, Experts: 16, TopK: 2, BatchSize: 8, AuxLossCoeff: 0.01,
+		KSnapshot: 4, KPersist: 2, TwoLevelRecovery: true, Interval: 4, Seed: 7,
+	}
+	corpus := moc.PretrainCorpus(256)
+	sys, err := moc.NewSystemOn(cfg, remote, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CheckpointNow(); err != nil { // the full bootstrap round
+		t.Fatal(err)
+	}
+	if _, err := sys.RunTo(16); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The prediction, from the committed manifests: a resume reads every
+	// module's newest copy.
+	store, err := cas.Open(mem, cas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifests := store.Manifests()
+	newest := map[string]int{}
+	size := map[string]int64{}
+	for _, m := range manifests {
+		for _, e := range m.Modules {
+			if r, ok := newest[e.Module]; !ok || m.Round > r {
+				newest[e.Module], size[e.Module] = m.Round, e.Size
+			}
+		}
+	}
+	const c = cas.DefaultChunkSize
+	want, everyTailAChunk := int64(len(manifests)), int64(len(manifests))
+	for _, l := range size {
+		n := l / c
+		if l%c >= c/4 || n == 0 && l > 0 {
+			n++
+		}
+		want += n
+		everyTailAChunk += (l + c - 1) / c
+	}
+	if everyTailAChunk == want {
+		t.Fatalf("no module of %d has a short tail: the test no longer exercises the tail rule", len(size))
+	}
+
+	remote.ResetMetrics()
+	cfg.Resume = true
+	fresh, err := moc.NewSystemOn(cfg, remote, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if got := remote.Metrics().GetOps; got != want {
+		t.Fatalf("cold resume issued %d remote Gets; %d manifests and %d module sizes predict %d (%d with every tail a chunk of its own)",
+			got, len(manifests), len(size), want, everyTailAChunk)
+	}
+	if it := fresh.Iteration(); it != 16 {
+		t.Fatalf("resumed at iteration %d, want 16", it)
 	}
 }
