@@ -150,6 +150,16 @@ func Wait(err error) bool {
 	return err == ErrGone
 }
 `)
+	// A file the go command would not build is not analyzed either: this
+	// one would not type-check.
+	write("tagged_test.go", `//go:build nosuchtag
+
+package mini
+
+import "nosuch/pkg"
+
+func tagged() { pkg.Sleep() }
+`)
 	diags, err := Run(Config{Root: root})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -144,9 +145,11 @@ func (l *Loader) PathFor(dir string) (string, error) {
 	return l.modulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// parseDir parses every .go file in dir (no recursion), split into
-// base files, in-package test files, and external (_test package) test
-// files.
+// parseDir parses every .go file in dir (no recursion) that the go
+// command would build here — build constraints and GOOS/GOARCH file
+// suffixes apply, so a file behind a GOEXPERIMENT tag is analyzed only
+// under that experiment — split into base files, in-package test files,
+// and external (_test package) test files.
 func (l *Loader) parseDir(dir string) (base, intest, xtest []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -155,10 +158,16 @@ func (l *Loader) parseDir(dir string) (base, intest, xtest []*ast.File, err erro
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") {
 			continue
 		}
-		names = append(names, n)
+		match, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if match {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	var basePkgName string

@@ -6,7 +6,12 @@ import (
 )
 
 // The experiment runners double as integration tests: each must execute in
-// quick mode and reproduce the paper's qualitative shape.
+// quick mode and reproduce the paper's qualitative shape. The six
+// training-shape tests (Figs. 5, 14a, 14b, 15a, Tables 3 and 4) run in
+// parallel: each trains its own Systems over its own stores, and the
+// package-level state they reach (the obs registry, the buffer pools,
+// the writer sequence) is safe for concurrent use. Under -race they take
+// minutes each.
 
 func TestFig10aTable(t *testing.T) {
 	out := Fig10a()
@@ -122,6 +127,7 @@ func TestFig13Panels(t *testing.T) {
 }
 
 func TestFig05QuickShape(t *testing.T) {
+	t.Parallel()
 	cells, out := Fig05PLTGrid(true)
 	if len(cells) == 0 {
 		t.Fatalf("no cells\n%s", out)
@@ -151,6 +157,7 @@ func TestFig05QuickShape(t *testing.T) {
 }
 
 func TestFig14aQuickShape(t *testing.T) {
+	t.Parallel()
 	series, out := Fig14a(true)
 	if len(series) != 5 {
 		t.Fatalf("want 5 variants, got %d\n%s", len(series), out)
@@ -182,6 +189,7 @@ func TestFig14aQuickShape(t *testing.T) {
 }
 
 func TestFig14bQuickShape(t *testing.T) {
+	t.Parallel()
 	series, out := Fig14b(true)
 	if len(series) != 3 {
 		t.Fatalf("want 3 methods\n%s", out)
@@ -204,6 +212,7 @@ func TestFig14bQuickShape(t *testing.T) {
 }
 
 func TestFig15aQuickShape(t *testing.T) {
+	t.Parallel()
 	pts, out := Fig15a(true)
 	if len(pts) != 4 {
 		t.Fatalf("want 4 points\n%s", out)
@@ -248,6 +257,7 @@ func TestFig15bShape(t *testing.T) {
 }
 
 func TestTable3QuickShape(t *testing.T) {
+	t.Parallel()
 	rows, out := Table3(true)
 	if len(rows) != 5 {
 		t.Fatalf("want 5 methods\n%s", out)
@@ -275,6 +285,7 @@ func TestTable3QuickShape(t *testing.T) {
 }
 
 func TestTable4QuickShape(t *testing.T) {
+	t.Parallel()
 	rows, out := Table4(true)
 	if len(rows) != 4 {
 		t.Fatalf("want 4 methods\n%s", out)

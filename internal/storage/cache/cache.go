@@ -345,6 +345,17 @@ func (c *Store) Keys(prefix string) ([]string, error) {
 	return c.inner.Keys(prefix)
 }
 
+// RequestCost implements storage.Coster by forwarding the backend's
+// report: the cache speeds up reads it already holds, not the requests
+// a writer makes through it. A backend that reports no cost reads as
+// memory speed.
+func (c *Store) RequestCost() (latencySeconds, bytesPerSecond float64) {
+	if cs, ok := c.inner.(storage.Coster); ok {
+		return cs.RequestCost()
+	}
+	return 0, 0
+}
+
 // Drop empties the cache without touching the backend — the cold-cache
 // state after a node restart. Counters survive; residency goes to zero.
 func (c *Store) Drop() {
@@ -359,4 +370,5 @@ func (c *Store) Drop() {
 var (
 	_ storage.PersistStore = (*Store)(nil)
 	_ storage.Viewer       = (*Store)(nil)
+	_ storage.Coster       = (*Store)(nil)
 )

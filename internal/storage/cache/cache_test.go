@@ -637,3 +637,20 @@ func TestConcurrentReadersDeletersUnderEvictionPressure(t *testing.T) {
 		}
 	}
 }
+
+// costed reports a fixed request cost.
+type costed struct{ storage.PersistStore }
+
+func (costed) RequestCost() (float64, float64) { return 0.004, 1 << 30 }
+
+// The cache forwards its backend's request cost, so a writer above it
+// sizes chunks for the backend; over a store that reports none it reads
+// as memory speed.
+func TestRequestCostForwardsTheBackends(t *testing.T) {
+	if lat, bps := mustNew(t, costed{storage.NewMemStore()}, 1<<20).RequestCost(); lat != 0.004 || bps != 1<<30 {
+		t.Fatalf("over a 4 ms × 1 GiB/s backend: %v, %v", lat, bps)
+	}
+	if lat, bps := mustNew(t, storage.NewMemStore(), 1<<20).RequestCost(); lat != 0 || bps != 0 {
+		t.Fatalf("over a MemStore: %v, %v, want 0, 0", lat, bps)
+	}
+}

@@ -125,6 +125,54 @@ func TestSplitChunks(t *testing.T) {
 	}
 }
 
+// costOf reports a fixed request cost.
+type costOf struct {
+	storage.PersistStore
+	lat, bps float64
+}
+
+func (c costOf) RequestCost() (float64, float64) { return c.lat, c.bps }
+
+func TestChunkSizeFor(t *testing.T) {
+	const gib = 1 << 30
+	for _, tc := range []struct {
+		lat, bps float64
+		want     int
+	}{
+		{0, gib, DefaultChunkSize},          // memory speed
+		{0.004, 0, DefaultChunkSize},        // no bandwidth reported
+		{1e-6, 1e9, DefaultChunkSize},       // 1 KB product
+		{0.001, 64 << 10, DefaultChunkSize}, // 64 B product
+		{1, 64 << 10, DefaultChunkSize},     // exactly the default
+		{1, 64<<10 + 1, 128 << 10},          // one byte past it: the next power of two
+		{0.004, 32 << 20, 256 << 10},        // 134 218 B product, just past 128 KiB
+		{0.004, gib, MaxCostChunkSize},      // 4 MiB product: the cap
+		{0.020, 256 << 20, MaxCostChunkSize},
+		{-1, gib, DefaultChunkSize},
+	} {
+		if got := ChunkSizeFor(tc.lat, tc.bps); got != tc.want {
+			t.Errorf("ChunkSizeFor(%v, %v) = %d, want %d", tc.lat, tc.bps, got, tc.want)
+		}
+	}
+	mem := storage.NewMemStore()
+	remote := costOf{mem, 0.004, gib}
+	for _, tc := range []struct {
+		name    string
+		backend storage.PersistStore
+		opts    Options
+		want    int
+	}{
+		{"MemStore", mem, Options{}, DefaultChunkSize},
+		{"4 ms × 1 GiB/s", remote, Options{}, MaxCostChunkSize},
+		{"explicit size", remote, Options{ChunkSize: 4 << 10}, 4 << 10},
+		{"CDC", remote, Options{Chunking: ChunkingCDC}, 0},
+	} {
+		if got := tc.opts.SizeChunksFor(tc.backend).ChunkSize; got != tc.want {
+			t.Errorf("%s: SizeChunksFor sets ChunkSize %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	s, _ := testStore(t, Options{ChunkSize: 16})
 	modules := map[string][]byte{

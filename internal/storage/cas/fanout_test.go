@@ -121,6 +121,40 @@ func TestOpenOverlapsManifestLoadsAndListings(t *testing.T) {
 	}
 }
 
+// TestFewManifestsLoadInOneWave: a manifest Get is a backend round trip,
+// so even a batch under fanOut's serial threshold loads at once. A gate
+// that releases manifest Gets only three at a time would hold a serial
+// load forever.
+func TestFewManifestsLoadInOneWave(t *testing.T) {
+	const rounds = 3
+	mem := storage.NewMemStore()
+	w, err := Open(mem, Options{ChunkSize: 256, Writer: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		if _, err := w.WriteRound(r, map[string][]byte{"m": randBlob(t, uint64(r)+1, 300)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate := storagetest.NewGate(mem, ManifestPrefix)
+	gate.Arm(rounds, rounds)
+	s, err := Open(gate, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gate.Peak() != rounds || len(s.Manifests()) != rounds {
+		t.Fatalf("Open: %d manifests, peak %d in flight; want %d in one wave", len(s.Manifests()), gate.Peak(), rounds)
+	}
+	gate.Arm(rounds, rounds)
+	if err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if gate.Peak() != rounds {
+		t.Fatalf("Refresh: peak %d manifest Gets in flight, want %d", gate.Peak(), rounds)
+	}
+}
+
 // TestCorruptManifestsFailLoadersWithLowestKeysError: with two of twelve
 // manifests corrupt, every parallel loader — Open, Refresh, Retain,
 // Audit — fails, and on every run with the error of the lower key.

@@ -22,12 +22,14 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// ChunkSize is the chunk length in bytes (default 64 KiB). Under
-	// ChunkingFixed every chunk of a payload but the last is exactly
+	// ChunkSize is the chunk length in bytes (default DefaultChunkSize).
+	// Under ChunkingFixed every chunk of a payload but the last is exactly
 	// ChunkSize, and the last is under 1.25 × ChunkSize: a remainder
 	// shorter than ChunkSize/4 rides in the last full chunk. Under
 	// ChunkingCDC it is the average target. Smaller chunks dedup at finer
-	// granularity at the cost of more keys.
+	// granularity at the cost of more keys. A store never picks the size
+	// itself, but the writing moc.System opens its store with
+	// SizeChunksFor the backend, so over a remote it is larger.
 	ChunkSize int
 	// Chunking selects the chunker (default ChunkingFixed). ChunkingCDC
 	// places boundaries by a content-defined rolling hash, so dedup
@@ -86,8 +88,47 @@ type Options struct {
 	Guard *sync.RWMutex
 }
 
-// DefaultChunkSize is the chunk length used when Options.ChunkSize is 0.
+// DefaultChunkSize is the chunk length used when Options.ChunkSize is 0,
+// and the one ChunkSizeFor gives a memory-speed backend.
 const DefaultChunkSize = 64 << 10
+
+// MaxCostChunkSize caps what ChunkSizeFor derives. A chunk of at most
+// 1.25 × this stays one request, far below a remote's multipart
+// threshold (8 MiB parts by default), and a sparse update rewrites at
+// most this much per changed chunk.
+const MaxCostChunkSize = 1 << 20
+
+// ChunkSizeFor is the fixed chunk size for a backend whose requests cost
+// latencySeconds of round trip and move bytesPerSecond per stream: the
+// smallest power of two at least the bandwidth-delay product, clamped to
+// [DefaultChunkSize, MaxCostChunkSize]. A chunk below the product spends
+// longer waiting for its round trip than moving its bytes, so a read of
+// many such chunks pays one latency wave per backend width; past the
+// product a larger chunk only coarsens dedup. A memory-speed backend
+// (latency 0) keeps DefaultChunkSize.
+func ChunkSizeFor(latencySeconds, bytesPerSecond float64) int {
+	bdp := latencySeconds * bytesPerSecond
+	size := DefaultChunkSize
+	for size < MaxCostChunkSize && float64(size) < bdp {
+		size <<= 1
+	}
+	return size
+}
+
+// SizeChunksFor returns o with a fixed chunk size left at 0 set from
+// the backend's storage.Coster report by ChunkSizeFor, or to
+// DefaultChunkSize for a backend that reports none. An explicit size and
+// CDC's average target are kept as they are.
+func (o Options) SizeChunksFor(backend storage.PersistStore) Options {
+	if o.ChunkSize != 0 || o.Chunking != ChunkingFixed {
+		return o
+	}
+	o.ChunkSize = DefaultChunkSize
+	if c, ok := backend.(storage.Coster); ok {
+		o.ChunkSize = ChunkSizeFor(c.RequestCost())
+	}
+	return o
+}
 
 // DefaultReadWorkers is the read-side fan-out used when
 // Options.ReadWorkers is 0.
@@ -395,7 +436,10 @@ func loadManifests(backend storage.PersistStore, width int) ([]*Manifest, error)
 		return nil, fmt.Errorf("cas: scan manifests: %w", err)
 	}
 	out := make([]*Manifest, len(keys))
-	err = fanOut(nil, "manifest", len(keys), width, 0, func(i int) error {
+	// A manifest Get is a backend round trip whatever it carries, never the
+	// memory-speed work fanOut's shortcut is for, so even two of them
+	// overlap: the payload claims the shortcut's byte floor.
+	err = fanOut(nil, "manifest", len(keys), width, minParallelBytes, func(i int) error {
 		k := keys[i]
 		round, writer, ok := parseManifestKey(k)
 		if !ok {

@@ -39,9 +39,10 @@ func (c Calibration) Apply(cfg simtime.Config) simtime.Config {
 // costs against a simulated object store with the given cost model, by
 // driving a synthetic dedup-free round through a cas.Store tuned by
 // casOpts (chunk size, chunking mode, workers as the production writer
-// would use) and reading the remote metrics back. Failure injection is
-// disabled for the probe — the calibration is the fault-free baseline;
-// retries only add to it.
+// would use; a fixed chunk size of 0 is sized to the cost model by
+// Options.SizeChunksFor, as the writing moc.System sizes it) and reading
+// the remote metrics back. Failure injection is disabled for the probe —
+// the calibration is the fault-free baseline; retries only add to it.
 //
 // The returned Calibration.Apply slots the measurement into a
 // simtime.Config, closing the loop between the byte-level storage
@@ -58,7 +59,7 @@ func Calibrate(cfg Config, checkpointBytes int64, casOpts cas.Options) (Calibrat
 		return Calibration{}, err
 	}
 	casOpts.Writer = "calibrate"
-	cs, err := cas.Open(store, casOpts)
+	cs, err := cas.Open(store, casOpts.SizeChunksFor(store))
 	if err != nil {
 		return Calibration{}, err
 	}

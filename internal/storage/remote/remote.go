@@ -289,6 +289,14 @@ func (s *Store) DegradeFactors() (latencyMult, bandwidthMult float64, degraded b
 	return s.latMult, s.bwMult, true
 }
 
+// RequestCost implements storage.Coster: the configured healthy latency
+// and the smaller of the per-stream up/down bandwidths. Degrade
+// multipliers are left out, so what a writer derives from it holds for
+// the whole run.
+func (s *Store) RequestCost() (latencySeconds, bytesPerSecond float64) {
+	return s.cfg.LatencySeconds, min(s.cfg.UploadBps, s.cfg.DownloadBps)
+}
+
 // charge accumulates simulated seconds and applies the scaled real sleep.
 func (s *Store) charge(seconds float64) {
 	s.mu.Lock()
@@ -532,4 +540,5 @@ func (s *Store) Keys(prefix string) ([]string, error) {
 
 var (
 	_ storage.PersistStore = (*Store)(nil)
+	_ storage.Coster       = (*Store)(nil)
 )

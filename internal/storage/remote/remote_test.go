@@ -282,6 +282,42 @@ func TestCalibrateDerivesPersistSeconds(t *testing.T) {
 	}
 }
 
+// Calibrating with chunk size 0 cuts the probe as a System writing
+// through the remote would: 4 MiB at 10 ms × 64 MiB/s (a 671 089 B
+// product) is four 1 MiB chunks and a manifest. An explicit size wins.
+func TestCalibrateSizesChunksToTheCostModel(t *testing.T) {
+	cfg := Config{LatencySeconds: 0.01, UploadBps: 64 << 20}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat, bps := s.RequestCost(); lat != 0.01 || bps != 64<<20 {
+		t.Fatalf("RequestCost() = %v, %v; want the configured latency and the slower direction", lat, bps)
+	}
+	if err := s.Degrade(4, 4); err != nil {
+		t.Fatal(err)
+	}
+	if lat, bps := s.RequestCost(); lat != 0.01 || bps != 64<<20 {
+		t.Fatalf("degraded RequestCost() = %v, %v; the report must not move mid-run", lat, bps)
+	}
+	for _, tc := range []struct {
+		opts cas.Options
+		ops  int64
+	}{
+		{cas.Options{}, 4 + 1},
+		{cas.Options{ChunkSize: 1 << 20}, 4 + 1},
+		{cas.Options{ChunkSize: cas.DefaultChunkSize}, 64 + 1},
+	} {
+		cal, err := Calibrate(cfg, 4<<20, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cal.Ops != tc.ops {
+			t.Fatalf("chunk size %d: %d requests, want %d", tc.opts.ChunkSize, cal.Ops, tc.ops)
+		}
+	}
+}
+
 func TestDeterministicFailureStreamConcurrentMultipart(t *testing.T) {
 	// Failure decisions are keyed by (seed, request identity, occurrence),
 	// so goroutine scheduling — across parallel parts AND parallel callers

@@ -76,6 +76,19 @@ type Sharder interface {
 	Locate(key string) int
 }
 
+// Coster is an optional PersistStore extension implemented by backends
+// whose requests are round trips, not memory accesses. RequestCost
+// reports the configured healthy per-request latency in seconds and the
+// per-stream bandwidth in bytes per second. A writer sizes its fixed
+// chunks from the product (cas.ChunkSizeFor), so a request moves enough
+// bytes to stop being latency-bound. The report is configuration, not a
+// measurement: a brownout does not change it, so the chunk size never
+// moves mid-run. A store that does not implement it, or a wrapper that
+// does not forward it, reads as memory speed.
+type Coster interface {
+	RequestCost() (latencySeconds, bytesPerSecond float64)
+}
+
 // SnapshotStore is a CPU-memory key-value store holding in-memory
 // checkpoint snapshots on one node.
 type SnapshotStore struct {

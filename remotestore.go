@@ -91,7 +91,9 @@ type PersistCalibration = remote.Calibration
 // CalibratePersist measures the persist cost of one checkpointBytes
 // checkpoint against the given remote cost model, driving a synthetic
 // dedup-free round through the content-addressed store with the given
-// chunk size and writer fan-out (0 = the store defaults). The result's
+// chunk size and writer fan-out. A chunk size of 0 is the one a System
+// writing through this remote uses (cas.ChunkSizeFor its latency and
+// per-stream bandwidth); workers 0 is the store default. The result's
 // PersistSeconds calibrates the timing simulator's persist phase
 // against the byte-level storage simulation.
 func CalibratePersist(cfg RemoteConfig, checkpointBytes int64, chunkSize, workers int) (PersistCalibration, error) {
@@ -100,9 +102,11 @@ func CalibratePersist(cfg RemoteConfig, checkpointBytes int64, chunkSize, worker
 
 // StoreTuning is the checkpoint store's data shape: chunk length (fixed)
 // or average target (CDC), and the chunker. Zero values take the store
-// defaults, as the writing System does, so a restore pool opens a store
-// with exactly its configuration; pipeline and recovery widths are the
-// store defaults on both sides.
+// defaults. A reader needs no chunk size: manifests record every
+// chunk's size, so a restore pool reads what a System wrote whatever
+// size that System chose — 64 KiB over memory-speed stores, larger
+// fixed chunks over a backend that reports a request cost. Pipeline and
+// recovery widths are the store defaults on both sides.
 type StoreTuning struct {
 	ChunkSize int
 	Chunking  Chunking

@@ -240,3 +240,72 @@ func TestStorageRecoveryDecodesFromChunkViews(t *testing.T) {
 		t.Fatal("a failed recovery wrote the model")
 	}
 }
+
+// TestRemoteResumeUpgradesA64KiBStore: a store written at 64 KiB chunks
+// (a MemStore reports no request cost) resumes bit-identically through a
+// System over a remote, which cuts larger chunks. Its first round of the
+// same state re-uploads, whole and once, each module the larger size cuts
+// differently: every module of at least 1.25 × 64 KiB, since a smaller
+// one is one identical chunk either way. The round after that uploads
+// nothing but its manifest.
+func TestRemoteResumeUpgradesA64KiBStore(t *testing.T) {
+	cfg := Config{
+		Layers: 2, Hidden: 64, Experts: 4, TopK: 2, BatchSize: 8,
+		Interval: 4, Variant: VariantFull, Seed: 7,
+	}
+	mem := NewMemStore()
+	first, err := NewSystem(cfg, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps(t, first, 6)
+	if err := first.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	want := first.model.Capture(nil, train.VariantFull())
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	remote, err := NewRemoteStoreOver(mem, RemoteConfig{LatencySeconds: 0.004})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (cas.Options{}).SizeChunksFor(remote).ChunkSize == cas.DefaultChunkSize {
+		t.Fatal("the remote sizes chunks at the default: nothing to upgrade")
+	}
+	cfg.Resume = true
+	resumed, err := NewSystem(cfg, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	got := resumed.model.Capture(nil, train.VariantFull())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("resume through the remote is not bit-identical to the state the 64 KiB store holds")
+	}
+	recut := int64(0)
+	for _, blob := range want {
+		if len(blob) >= cas.DefaultChunkSize*5/4 {
+			recut++
+		}
+	}
+	if recut == 0 {
+		t.Fatal("no module spans two 64 KiB chunks: the test cannot see the upgrade")
+	}
+	for i, wantPuts := range []int64{recut + 1, 1} {
+		remote.ResetMetrics()
+		if err := resumed.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.FlushCheckpoints(); err != nil {
+			t.Fatal(err)
+		}
+		if puts := remote.Metrics().PutOps; puts != wantPuts {
+			t.Fatalf("round %d after the resume put %d objects, want %d (%d re-cut modules, one manifest)", i+1, puts, wantPuts, recut)
+		}
+	}
+}

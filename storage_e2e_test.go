@@ -7,6 +7,7 @@ package moc_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	moc "moc"
@@ -380,84 +381,194 @@ func TestPublicCompositionsDoNotRetainPuts(t *testing.T) {
 	}
 }
 
+// A System writing through a backend that reports no request cost —
+// MemStore, FSStore, a wrapper that does not forward the report — cuts
+// fixed chunks at cas.DefaultChunkSize, and CDC keeps its default target
+// even over a remote: every manifest entry it commits is the one a
+// default-options store cuts from the same payload.
+func TestSystemKeepsDefaultChunksWithoutACost(t *testing.T) {
+	fs, err := moc.NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := moc.NewRemoteStoreOver(moc.NewMemStore(), moc.RemoteConfig{LatencySeconds: 0.004})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		store    moc.PersistStore
+		chunking moc.Chunking
+	}{
+		{"mem", moc.NewMemStore(), moc.ChunkingFixed},
+		{"fs", fs, moc.ChunkingFixed},
+		{"mem-cdc", moc.NewMemStore(), moc.ChunkingCDC},
+		{"remote-cdc", remote, moc.ChunkingCDC},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := moc.Config{
+				Layers: 2, Hidden: 64, Experts: 4, TopK: 2, BatchSize: 8,
+				Interval: 4, Variant: moc.VariantFull, Chunking: tc.chunking, Seed: 3,
+			}
+			sys, err := moc.NewSystemOn(cfg, tc.store, moc.PretrainCorpus(256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mode := cas.ChunkingFixed
+			if tc.chunking == moc.ChunkingCDC {
+				mode = cas.ChunkingCDC
+			}
+			store, err := cas.Open(tc.store, cas.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := store.ManifestsForRound(0)[0]
+			multi := 0
+			for _, e := range m.Modules {
+				blob, err := store.ReadModule(0, e.Module)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := cas.Open(moc.NewMemStore(), cas.Options{Chunking: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.WriteRound(0, map[string][]byte{e.Module: blob})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(e.Chunks, want.Modules[0].Chunks) {
+					t.Fatalf("%s: %d chunks, a default-options store cuts %d", e.Module, len(e.Chunks), len(want.Modules[0].Chunks))
+				}
+				if len(e.Chunks) > 1 {
+					multi++
+				}
+			}
+			if multi == 0 {
+				t.Fatalf("no module spans two chunks: the test cannot tell chunk sizes apart")
+			}
+		})
+	}
+}
+
+// costless hides a backend's request cost, as a wrapper that forwards
+// only the PersistStore methods does: a System writing through it sizes
+// its chunks for memory speed.
+type costless struct{ moc.PersistStore }
+
 // A cold resume issues one remote Get per manifest and one per chunk of
 // every module it recovers, and the chunk count follows from the module
-// sizes alone: fixed chunking cuts L bytes into ⌊L/C⌋ chunks when the
-// remainder is under C/4 (it rides in the last full chunk), ⌈L/C⌉
-// otherwise, none for an empty payload and at least one for any other.
-// The model is the benchmark's cold_recover shape, whose expert, embedding
-// and head payloads run a few hundred bytes to 2 KB past a multiple of
-// 64 KiB. SleepScale 0 keeps the remote's clock virtual.
+// sizes and the chunk size C the writing System chose: fixed chunking
+// cuts L bytes into ⌊L/C⌋ chunks when the remainder is under C/4 (it
+// rides in the last full chunk), ⌈L/C⌉ otherwise, none for an empty
+// payload and at least one for any other. The model is the benchmark's
+// cold_recover shape. Written straight through the remote, C is the
+// remote's bandwidth-delay rule and every module is one chunk; written
+// through a wrapper that hides the cost, C is 64 KiB, and the expert,
+// embedding and head payloads run a few hundred bytes to 2 KB past a
+// multiple of it, which exercises the tail rule. SleepScale 0 keeps the
+// remote's clock virtual.
 func TestColdResumeGetsFollowModuleSizes(t *testing.T) {
-	mem := moc.NewMemStore()
-	remote, err := moc.NewRemoteStoreOver(mem, moc.RemoteConfig{LatencySeconds: 0.004, MaxConcurrent: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := moc.Config{
-		Layers: 2, Hidden: 64, Experts: 16, TopK: 2, BatchSize: 8, AuxLossCoeff: 0.01,
-		KSnapshot: 4, KPersist: 2, TwoLevelRecovery: true, Interval: 4, Seed: 7,
-	}
-	corpus := moc.PretrainCorpus(256)
-	sys, err := moc.NewSystemOn(cfg, remote, corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.CheckpointNow(); err != nil { // the full bootstrap round
-		t.Fatal(err)
-	}
-	if _, err := sys.RunTo(16); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.FlushCheckpoints(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The prediction, from the committed manifests: a resume reads every
-	// module's newest copy.
-	store, err := cas.Open(mem, cas.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifests := store.Manifests()
-	newest := map[string]int{}
-	size := map[string]int64{}
-	for _, m := range manifests {
-		for _, e := range m.Modules {
-			if r, ok := newest[e.Module]; !ok || m.Round > r {
-				newest[e.Module], size[e.Module] = m.Round, e.Size
+	for _, tc := range []struct {
+		name      string
+		wrap      func(moc.PersistStore) moc.PersistStore
+		chunkSize int
+		tailRule  bool
+	}{
+		{"remote", func(s moc.PersistStore) moc.PersistStore { return s }, cas.MaxCostChunkSize, false},
+		{"no-cost", func(s moc.PersistStore) moc.PersistStore { return costless{s} }, cas.DefaultChunkSize, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := moc.NewMemStore()
+			remote, err := moc.NewRemoteStoreOver(mem, moc.RemoteConfig{LatencySeconds: 0.004, MaxConcurrent: 8})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	const c = cas.DefaultChunkSize
-	want, everyTailAChunk := int64(len(manifests)), int64(len(manifests))
-	for _, l := range size {
-		n := l / c
-		if l%c >= c/4 || n == 0 && l > 0 {
-			n++
-		}
-		want += n
-		everyTailAChunk += (l + c - 1) / c
-	}
-	if everyTailAChunk == want {
-		t.Fatalf("no module of %d has a short tail: the test no longer exercises the tail rule", len(size))
-	}
+			backend := tc.wrap(remote)
+			if c := (cas.Options{}).SizeChunksFor(backend).ChunkSize; c != tc.chunkSize {
+				t.Fatalf("the rule sizes chunks at %d over this stack, want %d", c, tc.chunkSize)
+			}
+			cfg := moc.Config{
+				Layers: 2, Hidden: 64, Experts: 16, TopK: 2, BatchSize: 8, AuxLossCoeff: 0.01,
+				KSnapshot: 4, KPersist: 2, TwoLevelRecovery: true, Interval: 4, Seed: 7,
+			}
+			corpus := moc.PretrainCorpus(256)
+			sys, err := moc.NewSystemOn(cfg, backend, corpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CheckpointNow(); err != nil { // the full bootstrap round
+				t.Fatal(err)
+			}
+			if _, err := sys.RunTo(16); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.FlushCheckpoints(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	remote.ResetMetrics()
-	cfg.Resume = true
-	fresh, err := moc.NewSystemOn(cfg, remote, corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if got := remote.Metrics().GetOps; got != want {
-		t.Fatalf("cold resume issued %d remote Gets; %d manifests and %d module sizes predict %d (%d with every tail a chunk of its own)",
-			got, len(manifests), len(size), want, everyTailAChunk)
-	}
-	if it := fresh.Iteration(); it != 16 {
-		t.Fatalf("resumed at iteration %d, want 16", it)
+			// The prediction, from the committed manifests: a resume reads
+			// every module's newest copy. Every chunk the System cut shows
+			// the size it chose.
+			store, err := cas.Open(mem, cas.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			manifests := store.Manifests()
+			newest := map[string]int{}
+			size := map[string]int64{}
+			c := int64(tc.chunkSize)
+			for _, m := range manifests {
+				for _, e := range m.Modules {
+					if r, ok := newest[e.Module]; !ok || m.Round > r {
+						newest[e.Module], size[e.Module] = m.Round, e.Size
+					}
+					for i, ref := range e.Chunks {
+						if last := i == len(e.Chunks)-1; !last && int64(ref.Size) != c || last && 4*int64(ref.Size) >= 5*c {
+							t.Fatalf("round %d %s chunk %d/%d is %d bytes; chunk size %d", m.Round, e.Module, i, len(e.Chunks), ref.Size, c)
+						}
+					}
+				}
+			}
+			want, everyTailAChunk := int64(len(manifests)), int64(len(manifests))
+			for _, l := range size {
+				n := l / c
+				if l%c >= c/4 || n == 0 && l > 0 {
+					n++
+				}
+				want += n
+				everyTailAChunk += (l + c - 1) / c
+			}
+			if tc.tailRule && everyTailAChunk == want {
+				t.Fatalf("no module of %d has a short tail: the test no longer exercises the tail rule", len(size))
+			}
+			if !tc.tailRule && want != int64(len(manifests)+len(size)) {
+				t.Fatalf("%d manifests and %d modules predict %d Gets; at chunk size %d every module should be one chunk", len(manifests), len(size), want, c)
+			}
+
+			remote.ResetMetrics()
+			cfg.Resume = true
+			fresh, err := moc.NewSystemOn(cfg, backend, corpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if got := remote.Metrics().GetOps; got != want {
+				t.Fatalf("cold resume issued %d remote Gets; %d manifests and %d module sizes predict %d (%d with every tail a chunk of its own)",
+					got, len(manifests), len(size), want, everyTailAChunk)
+			}
+			if it := fresh.Iteration(); it != 16 {
+				t.Fatalf("resumed at iteration %d, want 16", it)
+			}
+		})
 	}
 }

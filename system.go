@@ -404,6 +404,9 @@ func newSystemOn(cfg Config, store PersistStore, corpus *Corpus, sess *fleet.Ses
 		store = sess.Backend()
 		casOpts = sess.Options(casOpts)
 	}
+	// Fixed chunks are sized to the backend's round trip: 64 KiB over
+	// memory-speed stores, larger over a remote.
+	casOpts = casOpts.SizeChunksFor(store)
 	agent, err := core.NewAgentWithOptions(storage.NewSnapshotStore(), store, cfg.Buffers, casOpts)
 	if err != nil {
 		if sess != nil {
