@@ -1428,7 +1428,7 @@ func chaosGoodputRun(b *testing.B, adaptive bool) (goodput float64, rounds int, 
 	chaos.BindRemote(0, r0)
 	chaos.BindBackend(1, flaky)
 
-	start := simtime.WallNow()
+	start := time.Now()
 	for it := 1; it <= totalIters; it++ {
 		clock.Advance(time.Second)
 		chaos.Advance(it)
@@ -1465,7 +1465,7 @@ func chaosGoodputRun(b *testing.B, adaptive bool) (goodput float64, rounds int, 
 			b.Fatal(err)
 		}
 	}
-	elapsed := simtime.WallSince(start).Seconds()
+	elapsed := time.Since(start).Seconds()
 	st, err := f.Stats()
 	if err != nil {
 		b.Fatal(err)

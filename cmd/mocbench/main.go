@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"moc/internal/experiments"
-	"moc/internal/simtime"
 )
 
 // section is one printable figure or table; quick shrinks the training
@@ -95,9 +94,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "MoC-System reproduction — experiment sweep")
 	fmt.Fprintln(stdout)
 	for _, s := range todo {
-		start := simtime.WallNow()
+		start := time.Now()
 		fmt.Fprintln(stdout, s.run(*quick))
-		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", s.title, simtime.WallSince(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", s.title, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }

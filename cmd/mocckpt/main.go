@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"moc/internal/core"
-	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/cache"
 	"moc/internal/storage/cas"
@@ -336,7 +335,7 @@ func jobs(c *cli) error {
 	if len(svc.Jobs()) == 0 {
 		fmt.Fprintln(c.out, "no fleet registry; showing per-writer footprints")
 	}
-	now := simtime.WallNow()
+	now := time.Now()
 	fmt.Fprintf(c.out, "%-16s %-16s %-6s %-14s %-8s %-14s %-14s %s\n",
 		"job", "parent", "epoch", "lease", "rounds", "logical", "chunk-bytes", "exclusive")
 	for _, j := range st.Jobs {
@@ -797,16 +796,16 @@ func persistProbe(w io.Writer, store *cas.Store, manifests []*cas.Manifest) erro
 	if err != nil {
 		return fmt.Errorf("persist probe: %w", err)
 	}
-	start := simtime.WallNow()
+	start := time.Now()
 	if _, err := probe.WriteRound(0, mods); err != nil {
 		return fmt.Errorf("persist probe: %w", err)
 	}
-	cold := simtime.WallSince(start)
-	start = simtime.WallNow()
+	cold := time.Since(start)
+	start = time.Now()
 	if _, err := probe.WriteRound(1, mods); err != nil {
 		return fmt.Errorf("persist probe: %w", err)
 	}
-	unchanged := simtime.WallSince(start)
+	unchanged := time.Since(start)
 	st := probe.Stats()
 	fmt.Fprintf(w, "persist probe (round %06d replayed into a fresh %s-chunked memory store):\n",
 		newest.Round, newest.Chunking)
@@ -881,9 +880,9 @@ func restoreProbe(c *cli) error {
 			defer wg.Done()
 			<-start
 			for r := 0; r < c.restores; r++ {
-				t0 := simtime.WallNow()
+				t0 := time.Now()
 				_, err := p.ReadRound(round)
-				d := simtime.WallSince(t0)
+				d := time.Since(t0)
 				mu.Lock()
 				durations = append(durations, d)
 				if err != nil && firstErr == nil {

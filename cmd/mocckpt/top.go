@@ -12,7 +12,6 @@ import (
 
 	"moc"
 	"moc/internal/obs"
-	"moc/internal/simtime"
 	"moc/internal/storage/cache"
 	"moc/internal/storage/cas"
 )
@@ -63,16 +62,16 @@ func runTop(c *cli) error {
 		}
 		done <- err
 	}()
-	prev, prevAt := pointValues(obs.Metrics().Snapshot()), simtime.WallNow()
+	prev, prevAt := pointValues(obs.Metrics().Snapshot()), time.Now()
 	interval := time.Duration(c.intervalS * float64(time.Second))
 	for i := 0; i < c.ticks; i++ {
-		simtime.SleepWall(interval)
+		time.Sleep(interval)
 		select {
 		case err := <-done:
 			return err
 		default:
 		}
-		cur, at := pointValues(obs.Metrics().Snapshot()), simtime.WallNow()
+		cur, at := pointValues(obs.Metrics().Snapshot()), time.Now()
 		printRates(c.out, i+1, prev, cur, at.Sub(prevAt).Seconds())
 		prev, prevAt = cur, at
 	}

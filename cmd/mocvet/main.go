@@ -1,8 +1,8 @@
 // Command mocvet runs moc's project-invariant static-analysis suite:
 // the contracts the storage stack states in comments (Put does not
 // retain, Adopt hand-off, Guard lock discipline, GetBuf/PutBuf
-// pairing, the simtime wall-clock monopoly, errors.Is for sentinels)
-// enforced mechanically over every package in the module.
+// pairing, no wall clock in the deterministic packages, errors.Is for
+// sentinels) enforced mechanically over every package in the module.
 //
 // Usage:
 //

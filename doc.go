@@ -64,8 +64,8 @@
 // The stack's concurrency and ownership contracts — a store's Put does
 // not retain its input (storage.PersistStore), SnapshotStore.Adopt is the
 // one hand-off that does, GetBuf/PutBuf pairing, the write-guard
-// lock discipline, errors.Is for wrapped sentinels, and the
-// internal/simtime wall-clock monopoly — are mechanically enforced by
+// lock discipline, errors.Is for wrapped sentinels, and a wall-clock-free
+// simulator and training stack — are mechanically enforced by
 // the project linter (internal/analysis, run as `go run ./cmd/mocvet
 // ./...`); see the "Static analysis" section of README.md.
 //

@@ -12,6 +12,7 @@ import (
 
 	moc "moc"
 	"moc/internal/simtime"
+	"moc/internal/storage/storagetest"
 )
 
 // Train a small sparse-MoE model with Partial Experts Checkpointing
@@ -188,7 +189,7 @@ func ExampleFleet_StartScrubDaemon() {
 		log.Fatal(err)
 	}
 	flaky.Heal()
-	repaired := simtime.Eventually(10*time.Second, time.Millisecond, func() bool {
+	repaired := storagetest.Eventually(10*time.Second, time.Millisecond, func() bool {
 		_, err := flaky.Get("written-while-down")
 		return err == nil
 	})

@@ -13,7 +13,6 @@ package moc
 import (
 	"time"
 
-	"moc/internal/simtime"
 	"moc/internal/storage/fleet"
 )
 
@@ -111,7 +110,7 @@ func NewFleet(store PersistStore, cfg FleetConfig) (*Fleet, error) {
 	}
 	now := cfg.Now
 	if now == nil {
-		now = simtime.WallNow
+		now = time.Now
 	}
 	return &Fleet{svc: svc, now: now, obsExport: cfg.Obs.ExportPath}, nil
 }

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	moc "moc"
-	"moc/internal/simtime"
+	"moc/internal/storage/storagetest"
 )
 
 // fleetBaseConfig is a small full-checkpoint config for fleet tests.
@@ -206,7 +206,7 @@ func TestFleetScrubDaemonRestoresReplicationEndToEnd(t *testing.T) {
 	waitFor := func(what string, pred func(moc.FleetStats) bool) moc.FleetStats {
 		t.Helper()
 		var st moc.FleetStats
-		ok := simtime.Eventually(10*time.Second, 2*time.Millisecond, func() bool {
+		ok := storagetest.Eventually(10*time.Second, 2*time.Millisecond, func() bool {
 			var err error
 			st, err = f.Stats()
 			if err != nil {

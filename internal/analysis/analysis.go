@@ -5,8 +5,9 @@
 // mechanically enforce contracts the storage stack otherwise states
 // only in comments: Put does not retain its input, Adopt is the one
 // hand-off that does, the cas.Options.Guard RLock/Lock discipline,
-// GetBuf/PutBuf pairing, and the ban on raw wall-clock calls outside
-// internal/simtime.
+// GetBuf/PutBuf pairing, and the ban on wall-clock calls in the
+// deterministic packages (the simulated timelines and the seeded
+// training stack).
 //
 // Diagnostics are suppressible per site with a directive comment:
 //

@@ -59,9 +59,11 @@ func wantMarkers(t *testing.T, dir string) map[string]bool {
 // TestGoldenFixtures runs the full registry over every analyzer's
 // fixture package and requires the diagnostics to match the `want:`
 // markers exactly: each bad.go site fires, each good.go shape stays
-// silent, and each allow.go directive suppresses its finding.
+// silent, and each allow.go directive suppresses its finding. walltime
+// has two packages: the clock calls that fire in its internal/simtime
+// stay silent in the out-of-scope package above it.
 func TestGoldenFixtures(t *testing.T) {
-	fixtures := []string{"walltime", "lockdiscipline", "bufpool", "retainput", "errcmp", "spanend"}
+	fixtures := []string{"walltime", "walltime/internal/simtime", "lockdiscipline", "bufpool", "retainput", "errcmp", "spanend"}
 	want := make(map[string]bool)
 	var patterns []string
 	for _, name := range fixtures {
@@ -107,9 +109,9 @@ func TestMalformedDirectives(t *testing.T) {
 		got[fmt.Sprintf("%s:%d", d.Analyzer, d.Line)] = true
 	}
 	want := []string{
-		"directive:11", // //moc:allow walltime — no reason
-		"walltime:12",  // the finding the bare directive failed to cover
-		"directive:17", // //moc:allow nosuchanalyzer
+		"directive:14", // //moc:allow errcmp — no reason
+		"errcmp:15",    // the finding the bare directive failed to cover
+		"directive:20", // //moc:allow nosuchanalyzer
 	}
 	for _, k := range want {
 		if !got[k] {
@@ -124,9 +126,14 @@ func TestMalformedDirectives(t *testing.T) {
 // TestMiniModule drives the loader end to end over a synthetic module
 // in a temp dir — a different module path than moc — and pins the
 // -json schema: top-level {diagnostics, count}, each diagnostic
-// exactly {analyzer, file, line, col, message}.
+// exactly {analyzer, file, line, col, message}. Its package sits at
+// internal/simtime, which the walltime analyzer checks in any module.
 func TestMiniModule(t *testing.T) {
 	root := t.TempDir()
+	pkg := filepath.Join("internal", "simtime")
+	if err := os.MkdirAll(filepath.Join(root, pkg), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	write := func(name, content string) {
 		t.Helper()
 		if err := os.WriteFile(filepath.Join(root, name), []byte(content), 0o644); err != nil {
@@ -134,7 +141,7 @@ func TestMiniModule(t *testing.T) {
 		}
 	}
 	write("go.mod", "module minimod\n\ngo 1.22\n")
-	write("main.go", `package mini
+	write(filepath.Join(pkg, "main.go"), `package mini
 
 import (
 	"errors"
@@ -152,7 +159,7 @@ func Wait(err error) bool {
 `)
 	// A file the go command would not build is not analyzed either: this
 	// one would not type-check.
-	write("tagged_test.go", `//go:build nosuchtag
+	write(filepath.Join(pkg, "tagged_test.go"), `//go:build nosuchtag
 
 package mini
 
@@ -167,10 +174,11 @@ func tagged() { pkg.Sleep() }
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
 	}
-	if diags[0].Analyzer != "walltime" || diags[0].File != "main.go" || diags[0].Line != 13 {
+	main := filepath.Join(pkg, "main.go")
+	if diags[0].Analyzer != "walltime" || diags[0].File != main || diags[0].Line != 13 {
 		t.Errorf("first diagnostic: %+v", diags[0])
 	}
-	if diags[1].Analyzer != "errcmp" || diags[1].File != "main.go" || diags[1].Line != 14 {
+	if diags[1].Analyzer != "errcmp" || diags[1].File != main || diags[1].Line != 14 {
 		t.Errorf("second diagnostic: %+v", diags[1])
 	}
 

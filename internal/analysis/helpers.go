@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // calleeObject resolves the object a call expression invokes: a plain
@@ -67,24 +66,6 @@ func walkBody(body *ast.BlockStmt, visit func(ast.Node) bool) {
 		}
 		return visit(n)
 	})
-}
-
-// isBenchmark reports whether fb is a testing benchmark function
-// (Benchmark* taking *testing.B), which measures real time by nature.
-func isBenchmark(fb funcBody) bool {
-	if fb.decl == nil || !strings.HasPrefix(fb.name, "Benchmark") {
-		return false
-	}
-	params := fb.decl.Type.Params
-	return params != nil && len(params.List) == 1
-}
-
-// deref strips one level of pointer indirection.
-func deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // isErrorType reports whether t is the error interface (or an

@@ -3,13 +3,16 @@
 // than honored.
 package directive
 
-import "time"
+import "errors"
 
-// Stamp carries a reasonless directive: the directive itself is a
-// diagnostic, and the walltime finding it tried to cover still fires.
-func Stamp() int64 {
-	//moc:allow walltime
-	return time.Now().UnixNano()
+// ErrGone is a package-level sentinel.
+var ErrGone = errors.New("gone")
+
+// Gone carries a reasonless directive: the directive itself is a
+// diagnostic, and the errcmp finding it tried to cover still fires.
+func Gone(err error) bool {
+	//moc:allow errcmp
+	return err == ErrGone
 }
 
 // Zero carries a directive naming an analyzer that does not exist.

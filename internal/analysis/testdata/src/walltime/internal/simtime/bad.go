@@ -1,6 +1,7 @@
-// Package walltime holds golden fixtures for the walltime analyzer:
-// raw clock calls outside internal/simtime are true positives.
-package walltime
+// Package simtime stands in for a deterministic package: its path ends
+// in internal/simtime, so the walltime analyzer checks it, and every
+// clock call here is a true positive.
+package simtime
 
 import "time"
 

@@ -1,4 +1,4 @@
-package walltime
+package simtime
 
 import "time"
 

@@ -3,24 +3,42 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// WalltimeAnalyzer enforces the simtime clock monopoly: outside
-// internal/simtime, code must not read the wall clock or start raw
-// timers. The storage stack's behavior is reproduced and measured
-// under simulated timelines; a stray time.Now or time.Sleep introduces
-// nondeterminism the simulation cannot see. Real-time needs go through
-// the audited helpers in internal/simtime (WallNow/WallSince/SleepWall
-// for genuinely wall-clock measurement and cost-model sleeps,
-// Eventually for test polling). Benchmark functions are allowed — they
-// measure real time by definition — and deliberate exceptions (daemon
-// tickers, lease clocks) carry //moc:allow walltime directives.
+// WalltimeAnalyzer keeps the wall clock out of the packages whose output
+// must repeat per seed: the simulated timelines (simtime, perf, cluster,
+// the figure runners in experiments and report) and the seeded training
+// stack (train, moe, model, fault, rng, tensor, data, eval). A stray
+// time.Now or time.Sleep there would make a figure or a trained model
+// depend on the host. Every other package (the storage stack, the agent,
+// the tracer, the CLIs) measures, sleeps and polls real time and calls
+// the time package directly.
 var WalltimeAnalyzer = &Analyzer{
 	Name: "walltime",
-	Doc: "flags raw wall-clock and timer calls (time.Now, time.Sleep, time.After, " +
-		"time.NewTimer, ...) outside internal/simtime; route them through the simtime " +
-		"wall-clock helpers or annotate the deliberate exception",
+	Doc: "flags wall-clock and timer calls (time.Now, time.Sleep, time.After, " +
+		"time.NewTimer, ...) in the deterministic packages, whose output must repeat per seed",
 	Run: runWalltime,
+}
+
+// walltimeScope lists the deterministic packages, relative to the module
+// root. A package is in scope when its import path ends in one of them,
+// so a fixture that mirrors one (testdata/src/walltime/internal/simtime)
+// is checked as the package itself is.
+var walltimeScope = []string{
+	"internal/simtime",
+	"internal/perf",
+	"internal/cluster",
+	"internal/experiments",
+	"internal/report",
+	"internal/train",
+	"internal/moe",
+	"internal/model",
+	"internal/fault",
+	"internal/rng",
+	"internal/tensor",
+	"internal/data",
+	"internal/eval",
 }
 
 // walltimeBanned is the set of time-package functions that read the
@@ -38,30 +56,20 @@ var walltimeBanned = map[string]bool{
 	"Until":     true,
 }
 
+func inWalltimeScope(pkgPath string) bool {
+	for _, p := range walltimeScope {
+		if pkgPath == p || strings.HasSuffix(pkgPath, "/"+p) {
+			return true
+		}
+	}
+	return false
+}
+
 func runWalltime(pass *Pass) {
-	if pass.Pkg.Path() == pass.ModulePath+"/internal/simtime" {
-		return // the one package allowed to own the wall clock
-	}
-	// Benchmark bodies (and any closures inside them) are exempt.
-	type span struct{ start, end int }
-	var benchSpans []span
-	for _, fb := range functionBodies(pass.Files) {
-		if isBenchmark(fb) {
-			benchSpans = append(benchSpans, span{int(fb.body.Pos()), int(fb.body.End())})
-		}
-	}
-	inBenchmark := func(pos int) bool {
-		for _, s := range benchSpans {
-			if pos >= s.start && pos < s.end {
-				return true
-			}
-		}
-		return false
+	if !inWalltimeScope(pass.Pkg.Path()) {
+		return
 	}
 	for _, fb := range functionBodies(pass.Files) {
-		if isBenchmark(fb) || inBenchmark(int(fb.body.Pos())) {
-			continue
-		}
 		walkBody(fb.body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -82,10 +90,10 @@ func runWalltime(pass *Pass) {
 			}
 			if walltimeBanned[obj.Name()] {
 				pass.Reportf(call.Pos(),
-					"raw time.%s outside internal/simtime: use the simtime wall-clock helpers "+
-						"(simtime.WallNow/WallSince/SleepWall/Eventually) so timing stays auditable, "+
-						"or annotate a deliberate exception with //moc:allow walltime <reason>",
-					obj.Name())
+					"time.%s in %s, whose output must repeat per seed: take durations and "+
+						"instants from the simulated timeline, or annotate a deliberate "+
+						"exception with //moc:allow walltime <reason>",
+					obj.Name(), pass.Pkg.Path())
 			}
 			return true
 		})

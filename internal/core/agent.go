@@ -285,7 +285,6 @@ func (a *Agent) persistLoop() {
 // before the weight update where training must stall if the snapshot has
 // not finished (Fig. 3). The stall duration is accumulated in the stats.
 func (a *Agent) WaitSnapshot() error {
-	//moc:allow walltime core sits below simtime in the import graph (simtime imports core); raw clock is the only option here
 	start := time.Now()
 	a.mu.Lock()
 	for a.capturing {
@@ -293,7 +292,7 @@ func (a *Agent) WaitSnapshot() error {
 	}
 	err := a.capErr
 	a.capErr = nil
-	a.stats.SnapshotWait += time.Since(start) //moc:allow walltime paired with the WaitSnapshot start read above
+	a.stats.SnapshotWait += time.Since(start)
 	a.mu.Unlock()
 	return err
 }

@@ -299,7 +299,7 @@ func TestAgentRejectsTooFewBuffers(t *testing.T) {
 func TestAgentSnapshotWaitMeasured(t *testing.T) {
 	a, _, _ := newTestAgent(t, 3)
 	a.TrySnapshot(0, func() (CheckpointData, error) {
-		time.Sleep(30 * time.Millisecond) //moc:allow walltime deliberate slow snapshot (in-package test cannot import simtime: import cycle); the wait must be measured
+		time.Sleep(30 * time.Millisecond)
 		return blobData("m", "v"), nil
 	}, nil)
 	if err := a.WaitSnapshot(); err != nil {

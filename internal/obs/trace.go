@@ -8,12 +8,9 @@
 // hot path pays one atomic load and a predictable branch — no
 // allocation, no clock read (BenchmarkObsOverhead asserts the bound).
 // While enabled, completed spans land in a fixed-size ring (oldest
-// overwritten first) and Snapshot copies them out for export.
-//
-// obs sits below simtime in the import graph (simtime imports core,
-// core imports storage, storage imports obs), so the tracer owns its
-// own monotonic clock instead of going through simtime's wall doors —
-// the //moc:allow walltime directives below record that.
+// overwritten first) and Snapshot copies them out for export. Span
+// times come from the tracer's own monotonic clock: nanoseconds since
+// the tracer's epoch.
 package obs
 
 import (
@@ -80,13 +77,11 @@ func newTracer(ringSize int) *Tracer {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	//moc:allow walltime obs sits below simtime in the import graph and owns the trace clock
 	return &Tracer{epoch: time.Now(), ring: make([]Record, ringSize)}
 }
 
 // now is the trace clock: monotonic ns since the tracer's epoch.
 func (t *Tracer) now() int64 {
-	//moc:allow walltime obs sits below simtime in the import graph and owns the trace clock
 	return time.Since(t.epoch).Nanoseconds()
 }
 

@@ -2,53 +2,19 @@ package simtime
 
 import "time"
 
-// This file is the module's only sanctioned door to the wall clock.
+// WallNow reads the real clock.
 //
-// The simulator proper is deterministic and purely computational; real
-// time still leaks into the system in three legitimate ways — cost
-// models that genuinely sleep to emulate modeled transfer time,
-// operator-facing probes that measure real elapsed time, and tests
-// that poll for a background daemon's effect. Those uses are funneled
-// through the helpers below so the `mocvet walltime` analyzer can ban
-// raw time.Now/time.Sleep/time.After everywhere else in the module:
-// a wall-clock read that matters is either here, in a Benchmark, or
-// carries a //moc:allow walltime directive explaining itself.
-
-// WallNow reads the real clock. Use it (not time.Now) for operator
-// probes and measurements; simulated timelines never consult it.
+// Deprecated: call time.Now. Only bench/ still calls it; the benchmark's
+// next revision (ROADMAP item 1) switches it to time and deletes this.
+//
+//moc:allow walltime identity shim kept for bench/ until ROADMAP item 1 deletes it
 func WallNow() time.Time { return time.Now() }
 
 // WallSince reports real elapsed time since t.
-func WallSince(t time.Time) time.Duration { return time.Since(t) }
-
-// SleepWall blocks for d of real time. Cost models use it to convert
-// modeled seconds into actual backpressure (remote latency, MemStore
-// bandwidth debt).
-func SleepWall(d time.Duration) { time.Sleep(d) }
-
-// Eventually polls cond every step of real time until it returns true
-// or timeout elapses, reporting whether the condition was met. It is
-// the module's one blessed busy-wait: tests and examples that wait for
-// a background daemon (scrub passes, cache fills, goroutine exits) use
-// it instead of hand-rolled deadline loops, so polling cadence and
-// deadline handling live in one audited place.
 //
-// cond is always evaluated at least once, and once more after the
-// final sleep, so a condition that becomes true exactly at the
-// deadline is not missed.
-func Eventually(timeout, step time.Duration, cond func() bool) bool {
-	if cond() {
-		return true
-	}
-	if step <= 0 {
-		step = time.Millisecond
-	}
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		time.Sleep(step)
-		if cond() {
-			return true
-		}
-	}
-	return false
-}
+// Deprecated: call time.Since. Only bench/ still calls it; the
+// benchmark's next revision (ROADMAP item 1) switches it to time and
+// deletes this.
+//
+//moc:allow walltime identity shim kept for bench/ until ROADMAP item 1 deletes it
+func WallSince(t time.Time) time.Duration { return time.Since(t) }

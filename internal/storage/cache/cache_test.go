@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/storagetest"
 )
@@ -382,7 +381,7 @@ func (b *blockingStore) Get(key string) ([]byte, error) {
 // waitFor polls cond until it holds or the test deadline is blown.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	if !simtime.Eventually(10*time.Second, time.Millisecond, cond) {
+	if !storagetest.Eventually(10*time.Second, time.Millisecond, cond) {
 		t.Fatal("condition not reached in time")
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"moc/internal/rng"
-	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/cas"
+	"moc/internal/storage/storagetest"
 )
 
 // pecRounds writes a PEC-shaped history — modules of one to three chunks,
@@ -126,7 +126,7 @@ func TestReadAcrossFailureNamesChunkAndStops(t *testing.T) {
 			}
 			// Every worker was past its last task when the call returned; one
 			// may still be between its wg.Done and its exit.
-			if !simtime.Eventually(10*time.Second, time.Millisecond, func() bool { return runtime.NumGoroutine() <= base }) {
+			if !storagetest.Eventually(10*time.Second, time.Millisecond, func() bool { return runtime.NumGoroutine() <= base }) {
 				t.Fatalf("%d goroutines after the failed read, %d before", runtime.NumGoroutine(), base)
 			}
 		})

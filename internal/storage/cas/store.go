@@ -156,7 +156,6 @@ var processTag = makeProcessTag()
 func makeProcessTag() string {
 	var b [4]byte
 	if _, err := crand.Read(b[:]); err != nil {
-		//moc:allow walltime entropy fallback when crypto/rand fails; seed material, not a timing dependency
 		binary.LittleEndian.PutUint32(b[:], uint32(time.Now().UnixNano()))
 	}
 	return fmt.Sprintf("p%d-%s", os.Getpid(), hex.EncodeToString(b[:]))

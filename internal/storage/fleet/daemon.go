@@ -282,7 +282,6 @@ func (s *Service) StartDaemon(interval time.Duration) error {
 	s.daemonStop, s.daemonDone = stop, done
 	go func() {
 		defer close(done)
-		//moc:allow walltime the scrub daemon cadence is genuinely wall-clock; the ticker goroutine is joined by StopDaemon
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {

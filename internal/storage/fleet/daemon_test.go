@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"moc/internal/fault"
-	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/cas"
 	"moc/internal/storage/replica"
+	"moc/internal/storage/storagetest"
 )
 
 // fleetOverFlaky builds the standard repair fixture: a replicated
@@ -178,7 +178,7 @@ func TestBackgroundDaemonRepairsWithoutManualSync(t *testing.T) {
 	waitStats := func(what string, pred func(Stats) bool) {
 		t.Helper()
 		var stats Stats
-		ok := simtime.Eventually(10*time.Second, 2*time.Millisecond, func() bool {
+		ok := storagetest.Eventually(10*time.Second, 2*time.Millisecond, func() bool {
 			var err error
 			stats, err = svc.Stats()
 			if err != nil {
@@ -201,7 +201,7 @@ func TestBackgroundDaemonRepairsWithoutManualSync(t *testing.T) {
 	// fall back to (at most) the pre-StartDaemon baseline. Runtime
 	// helper goroutines can retire a little late; poll instead of
 	// asserting a single instantaneous reading.
-	if ok := simtime.Eventually(10*time.Second, 2*time.Millisecond, func() bool {
+	if ok := storagetest.Eventually(10*time.Second, 2*time.Millisecond, func() bool {
 		return runtime.NumGoroutine() <= baseline
 	}); !ok {
 		t.Fatalf("scrub goroutine leaked: %d goroutines, baseline %d", runtime.NumGoroutine(), baseline)

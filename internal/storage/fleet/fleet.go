@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"moc/internal/obs"
-	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/cas"
 	"moc/internal/storage/readserve"
@@ -78,9 +77,8 @@ type Config struct {
 	// scrub pass (default DefaultScrubChunksPerPass; negative disables
 	// the sweep).
 	ScrubChunksPerPass int
-	// Now supplies the clock (default simtime.WallNow) — tests drive
-	// lease expiry deterministically by injecting a simtime.ManualClock's
-	// Now.
+	// Now supplies the clock (default time.Now) — tests drive lease
+	// expiry deterministically by injecting a simtime.ManualClock's Now.
 	Now func() time.Time
 	// ReadTier, when non-nil, puts a read-serving cache hierarchy in
 	// front of the shared backend: every session's chunk reads route
@@ -101,7 +99,7 @@ func (c *Config) fillDefaults() {
 		c.ScrubChunksPerPass = DefaultScrubChunksPerPass
 	}
 	if c.Now == nil {
-		c.Now = simtime.WallNow
+		c.Now = time.Now
 	}
 }
 

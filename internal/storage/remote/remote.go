@@ -30,7 +30,6 @@ import (
 
 	"moc/internal/obs"
 	"moc/internal/rng"
-	"moc/internal/simtime"
 	"moc/internal/storage"
 )
 
@@ -303,7 +302,7 @@ func (s *Store) charge(seconds float64) {
 	s.metrics.SimSeconds += seconds
 	s.mu.Unlock()
 	if s.cfg.SleepScale > 0 {
-		simtime.SleepWall(time.Duration(seconds * s.cfg.SleepScale * float64(time.Second)))
+		time.Sleep(time.Duration(seconds * s.cfg.SleepScale * float64(time.Second)))
 	}
 }
 

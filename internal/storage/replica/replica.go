@@ -27,9 +27,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"moc/internal/obs"
-	"moc/internal/simtime"
 	"moc/internal/storage"
 )
 
@@ -217,10 +217,10 @@ func (r *Store) access(i int, op func(storage.PersistStore) error) error {
 	if cut {
 		return ErrPartitioned
 	}
-	start := simtime.WallNow()
+	start := time.Now()
 	err := op(r.backends[i])
 	if err == nil || errors.Is(err, storage.ErrNotFound) {
-		sec := simtime.WallSince(start).Seconds()
+		sec := time.Since(start).Seconds()
 		r.mu.Lock()
 		if r.samples[i] == 0 {
 			r.ewma[i] = sec

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/storagetest"
 )
@@ -383,23 +382,23 @@ type slowStore struct {
 }
 
 func (s *slowStore) Put(key string, data []byte) error {
-	simtime.SleepWall(s.delay)
+	time.Sleep(s.delay)
 	return s.inner.Put(key, data)
 }
 
 func (s *slowStore) Get(key string) ([]byte, error) {
-	simtime.SleepWall(s.delay)
+	time.Sleep(s.delay)
 	s.gets.Add(1)
 	return s.inner.Get(key)
 }
 
 func (s *slowStore) Delete(key string) error {
-	simtime.SleepWall(s.delay)
+	time.Sleep(s.delay)
 	return s.inner.Delete(key)
 }
 
 func (s *slowStore) Keys(prefix string) ([]string, error) {
-	simtime.SleepWall(s.delay)
+	time.Sleep(s.delay)
 	return s.inner.Keys(prefix)
 }
 

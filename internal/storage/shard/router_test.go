@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/replica"
 	"moc/internal/storage/storagetest"
@@ -336,7 +335,7 @@ func TestRouterRebalanceTakesGuard(t *testing.T) {
 		}
 		done <- st
 	}()
-	simtime.SleepWall(20 * time.Millisecond)
+	time.Sleep(20 * time.Millisecond)
 	select {
 	case <-done:
 		t.Fatal("rebalance ran while the guard was held")

@@ -426,14 +426,13 @@ func TestMemStoreBandwidthDebtChargesOnAverage(t *testing.T) {
 	// total; the old per-put sleep cost ~1 ms x 64 regardless of size.
 	m := NewMemStore()
 	m.BandwidthBps = 100 << 20
-	//moc:allow walltime measures the cost-model sleep; in-package test cannot import simtime (import cycle)
 	start := time.Now()
 	for i := 0; i < 64; i++ {
 		if err := m.Put(fmt.Sprintf("k%d", i), make([]byte, 64<<10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	elapsed := time.Since(start) //moc:allow walltime paired with the start read above
+	elapsed := time.Since(start)
 	if modeled := 40 * time.Millisecond; elapsed < modeled/2 {
 		t.Fatalf("64 x 64KiB at 100MiB/s took %v, modeled %v — bandwidth not charged", elapsed, modeled)
 	}

@@ -251,7 +251,6 @@ func (m *MemStore) chargeBandwidth(n int) {
 			return
 		}
 		if m.bandwidthDebt.CompareAndSwap(debt, 0) {
-			//moc:allow walltime bandwidth cost model; storage sits below simtime in the import graph (simtime imports core imports storage)
 			time.Sleep(time.Duration(debt))
 			return
 		}

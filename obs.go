@@ -17,10 +17,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"moc/internal/fault"
 	"moc/internal/obs"
-	"moc/internal/simtime"
 	"moc/internal/storage"
 	"moc/internal/storage/cas"
 	"moc/internal/storage/readserve"
@@ -219,7 +219,7 @@ func RunTraceProbe(cfg TraceProbeConfig) (TraceProbeReport, error) {
 	var rep TraceProbeReport
 	rep.Rounds = cfg.Rounds
 	var spanNs int64
-	start := simtime.WallNow()
+	start := time.Now()
 	for r := 0; r < cfg.Rounds; r++ {
 		if len(sched.Starting(r)) > 0 {
 			if err := rs.Degrade(6, 6); err != nil {
@@ -255,7 +255,7 @@ func RunTraceProbe(cfg TraceProbeConfig) (TraceProbeReport, error) {
 	if len(sched.Ending(cfg.Rounds)) > 0 || len(sched.ActiveAt(cfg.Rounds-1)) > 0 {
 		rs.ClearDegrade()
 	}
-	rep.WallSeconds = simtime.WallNow().Sub(start).Seconds()
+	rep.WallSeconds = time.Now().Sub(start).Seconds()
 	rep.SpanSeconds = obs.Seconds(spanNs)
 	if rep.WallSeconds > 0 {
 		rep.Coverage = rep.SpanSeconds / rep.WallSeconds

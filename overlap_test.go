@@ -82,7 +82,7 @@ func TestStepWaitsForTheCaptureAtTheWeightUpdate(t *testing.T) {
 		select {
 		case err := <-stepped:
 			t.Fatalf("Step finished (%v) while the capture was still reading the weights", err)
-		case <-time.After(hold): //moc:allow walltime the test holds a capture open for a real interval to show Step waits through it
+		case <-time.After(hold):
 		}
 		if got := s.model.Iteration(); got != at {
 			t.Fatalf("iteration advanced to %d behind an unfinished capture", got)

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	moc "moc"
-	"moc/internal/simtime"
+	"moc/internal/storage/storagetest"
 )
 
 // herdBackend is an in-memory PersistStore whose Gets park until
@@ -72,7 +72,7 @@ func (h *herdBackend) Keys(prefix string) ([]string, error) {
 
 func waitForStats(t *testing.T, tier *moc.ReadTier, cond func(moc.ReadTierStats) bool) {
 	t.Helper()
-	if !simtime.Eventually(10*time.Second, time.Millisecond, func() bool { return cond(tier.Stats()) }) {
+	if !storagetest.Eventually(10*time.Second, time.Millisecond, func() bool { return cond(tier.Stats()) }) {
 		t.Fatalf("tier never reached the expected state: %+v", tier.Stats())
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	moc "moc"
-	"moc/internal/simtime"
 	"moc/internal/storage/cas"
 )
 
@@ -111,14 +110,14 @@ func TestVirtualColdResumeAndRoundFollowWaves(t *testing.T) {
 		// The tenth PEC round: training costs no virtual time, so the
 		// clock moves only for the persist.
 		remote.ResetMetrics()
-		start := simtime.WallNow()
+		start := time.Now()
 		if _, err := sys.RunTo(40); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.FlushCheckpoints(); err != nil {
 			t.Fatal(err)
 		}
-		round := simtime.WallSince(start)
+		round := time.Since(start)
 		puts := remote.Metrics().PutOps
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
@@ -166,12 +165,12 @@ func TestVirtualColdResumeAndRoundFollowWaves(t *testing.T) {
 		cached.Drop()
 		remote.ResetMetrics()
 		cfg.Resume = true
-		start = simtime.WallNow()
+		start = time.Now()
 		fresh, err := moc.NewSystemOn(cfg, cached, corpus)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resume := simtime.WallSince(start)
+		resume := time.Since(start)
 		if err := fresh.Close(); err != nil {
 			t.Fatal(err)
 		}
