@@ -275,14 +275,16 @@ func Open(backend storage.PersistStore, cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: read job record %s: %w", k, err)
 		}
-		var j Job
-		if err := json.Unmarshal(blob, &j); err != nil {
-			return nil, fmt.Errorf("fleet: job record %s: %w", k, err)
-		}
-		if jobKey(j.ID) != k {
-			return nil, fmt.Errorf("fleet: job record %s claims id %q", k, j.ID)
+		j, err := decodeJob(k, blob)
+		if err != nil {
+			return nil, err
 		}
 		s.jobs[j.ID] = &j
+	}
+	for _, j := range s.jobs {
+		if j.Parent != "" && s.jobs[j.Parent] == nil {
+			return nil, fmt.Errorf("fleet: job record %s names parent %q, which is not registered", jobKey(j.ID), j.Parent)
+		}
 	}
 	if obs.Enabled() {
 		s.registerObs()
@@ -374,9 +376,9 @@ func (s *Service) readJob(id string) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("fleet: read job record %q: %w", id, err)
 	}
-	var j Job
-	if err := json.Unmarshal(blob, &j); err != nil {
-		return Job{}, fmt.Errorf("fleet: job record %q: %w", id, err)
+	j, err := decodeJob(jobKey(id), blob)
+	if err != nil {
+		return Job{}, err
 	}
 	s.mu.Lock()
 	if cur, ok := s.jobs[j.ID]; !ok || cur.Epoch <= j.Epoch {
@@ -384,6 +386,31 @@ func (s *Service) readJob(id string) (Job, error) {
 		s.jobs[j.ID] = &cp
 	}
 	s.mu.Unlock()
+	return j, nil
+}
+
+// decodeJob parses the record stored under key and rejects one that
+// Register could not have written: the key must name the record's id, the
+// id must be valid, the writer must be the id (an empty writer would let
+// cas mint a fresh one for the job's sessions), the parent must be empty
+// or another valid id, and the epoch must not be negative.
+func decodeJob(key string, blob []byte) (Job, error) {
+	var j Job
+	if err := json.Unmarshal(blob, &j); err != nil {
+		return Job{}, fmt.Errorf("fleet: job record %s: %w", key, err)
+	}
+	switch {
+	case jobKey(j.ID) != key:
+		return Job{}, fmt.Errorf("fleet: job record %s claims id %q", key, j.ID)
+	case validateJobID(j.ID) != nil:
+		return Job{}, fmt.Errorf("fleet: job record %s: %w", key, validateJobID(j.ID))
+	case j.Writer != j.ID:
+		return Job{}, fmt.Errorf("fleet: job record %s names writer %q, not its id", key, j.Writer)
+	case j.Parent == j.ID || j.Parent != "" && validateJobID(j.Parent) != nil:
+		return Job{}, fmt.Errorf("fleet: job record %s names parent %q", key, j.Parent)
+	case j.Epoch < 0:
+		return Job{}, fmt.Errorf("fleet: job record %s has epoch %d", key, j.Epoch)
+	}
 	return j, nil
 }
 
