@@ -281,9 +281,14 @@ func Open(backend storage.PersistStore, cfg Config) (*Service, error) {
 		}
 		s.jobs[j.ID] = &j
 	}
+	// Register admits a parent only once it is registered, so every
+	// lineage ends at a root within len(s.jobs) steps.
 	for _, j := range s.jobs {
-		if j.Parent != "" && s.jobs[j.Parent] == nil {
-			return nil, fmt.Errorf("fleet: job record %s names parent %q, which is not registered", jobKey(j.ID), j.Parent)
+		p := j
+		for n := 0; p.Parent != ""; n++ {
+			if p = s.jobs[p.Parent]; p == nil || n == len(s.jobs) {
+				return nil, fmt.Errorf("fleet: job record %s: its lineage does not end at a registered root", jobKey(j.ID))
+			}
 		}
 	}
 	if obs.Enabled() {
@@ -392,8 +397,8 @@ func (s *Service) readJob(id string) (Job, error) {
 // decodeJob parses the record stored under key and rejects one that
 // Register could not have written: the key must name the record's id, the
 // id must be valid, the writer must be the id (an empty writer would let
-// cas mint a fresh one for the job's sessions), the parent must be empty
-// or another valid id, and the epoch must not be negative.
+// cas mint a fresh one for the job's sessions), and the epoch must not be
+// negative. Open checks the parents.
 func decodeJob(key string, blob []byte) (Job, error) {
 	var j Job
 	if err := json.Unmarshal(blob, &j); err != nil {
@@ -406,8 +411,6 @@ func decodeJob(key string, blob []byte) (Job, error) {
 		return Job{}, fmt.Errorf("fleet: job record %s: %w", key, validateJobID(j.ID))
 	case j.Writer != j.ID:
 		return Job{}, fmt.Errorf("fleet: job record %s names writer %q, not its id", key, j.Writer)
-	case j.Parent == j.ID || j.Parent != "" && validateJobID(j.Parent) != nil:
-		return Job{}, fmt.Errorf("fleet: job record %s names parent %q", key, j.Parent)
 	case j.Epoch < 0:
 		return Job{}, fmt.Errorf("fleet: job record %s has epoch %d", key, j.Epoch)
 	}

@@ -58,24 +58,30 @@ func TestOpenRejectsRecordsRegisterCannotWrite(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name string
-		key  string
-		rec  string
+		name    string
+		records map[string]string
 	}{
-		{"empty writer", "a", `{"id":"a","writer":""}`},
-		{"foreign writer", "a", `{"id":"a","writer":"b"}`},
-		{"key names another id", "a", `{"id":"b","writer":"b"}`},
-		{"invalid id", "a.b", `{"id":"a.b","writer":"a.b"}`},
-		{"reserved id", "fleet-x", `{"id":"fleet-x","writer":"fleet-x"}`},
-		{"unregistered parent", "a", `{"id":"a","parent":"p","writer":"a"}`},
-		{"invalid parent", "a", `{"id":"a","parent":"p/q","writer":"a"}`},
-		{"own parent", "a", `{"id":"a","parent":"a","writer":"a"}`},
-		{"negative epoch", "a", `{"id":"a","writer":"a","epoch":-1}`},
-		{"not json", "a", `{"id":`},
+		{"empty writer", map[string]string{"a": `{"id":"a","writer":""}`}},
+		{"foreign writer", map[string]string{"a": `{"id":"a","writer":"b"}`}},
+		{"key names another id", map[string]string{"a": `{"id":"b","writer":"b"}`}},
+		{"invalid id", map[string]string{"a.b": `{"id":"a.b","writer":"a.b"}`}},
+		{"reserved id", map[string]string{"fleet-x": `{"id":"fleet-x","writer":"fleet-x"}`}},
+		{"negative epoch", map[string]string{"a": `{"id":"a","writer":"a","epoch":-1}`}},
+		{"not json", map[string]string{"a": `{"id":`}},
+		{"unregistered parent", map[string]string{"a": `{"id":"a","parent":"p/q","writer":"a"}`}},
+		{"own parent", map[string]string{"a": `{"id":"a","parent":"a","writer":"a"}`}},
+		{"parent cycle", map[string]string{
+			"a": `{"id":"a","parent":"b","writer":"a"}`,
+			"b": `{"id":"b","parent":"a","writer":"b"}`,
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := openWithRecords(t, map[string][]byte{tc.key: []byte(tc.rec)}); err == nil {
-				t.Fatalf("Open accepted %s", tc.rec)
+			records := map[string][]byte{}
+			for k, v := range tc.records {
+				records[k] = []byte(v)
+			}
+			if _, err := openWithRecords(t, records); err == nil {
+				t.Fatalf("Open accepted %v", tc.records)
 			}
 		})
 	}
@@ -103,7 +109,7 @@ func FuzzOpenJobRecords(f *testing.F) {
 			ids[j.ID] = true
 		}
 		for _, j := range jobs {
-			if validateJobID(j.ID) != nil || j.Writer != j.ID || j.Epoch < 0 || j.Parent != "" && !ids[j.Parent] {
+			if validateJobID(j.ID) != nil || j.Writer != j.ID || j.Epoch < 0 || j.Parent == j.ID || j.Parent != "" && !ids[j.Parent] {
 				t.Fatalf("Open accepted a record Register cannot write: %+v", j)
 			}
 			sess, err := svc.Acquire(j.ID)
