@@ -6,14 +6,10 @@ import (
 	"strings"
 )
 
-// WalltimeAnalyzer keeps the wall clock out of the packages whose output
-// must repeat per seed: the simulated timelines (simtime, perf, cluster,
-// the figure runners in experiments and report) and the seeded training
-// stack (train, moe, model, fault, rng, tensor, data, eval). A stray
-// time.Now or time.Sleep there would make a figure or a trained model
-// depend on the host. Every other package (the storage stack, the agent,
-// the tracer, the CLIs) measures, sleeps and polls real time and calls
-// the time package directly.
+// WalltimeAnalyzer keeps the wall clock out of the deterministic packages
+// (walltimeScope), whose output must repeat per seed: a stray time.Now or
+// time.Sleep there would make a figure or a trained model depend on the
+// host. Every other package calls the time package directly.
 var WalltimeAnalyzer = &Analyzer{
 	Name: "walltime",
 	Doc: "flags wall-clock and timer calls (time.Now, time.Sleep, time.After, " +
@@ -26,19 +22,11 @@ var WalltimeAnalyzer = &Analyzer{
 // so a fixture that mirrors one (testdata/src/walltime/internal/simtime)
 // is checked as the package itself is.
 var walltimeScope = []string{
-	"internal/simtime",
-	"internal/perf",
-	"internal/cluster",
-	"internal/experiments",
-	"internal/report",
-	"internal/train",
-	"internal/moe",
-	"internal/model",
-	"internal/fault",
-	"internal/rng",
-	"internal/tensor",
-	"internal/data",
-	"internal/eval",
+	// The simulated timelines and the figure runners.
+	"internal/simtime", "internal/perf", "internal/cluster", "internal/experiments", "internal/report",
+	// The seeded training stack.
+	"internal/train", "internal/moe", "internal/model", "internal/fault", "internal/rng",
+	"internal/tensor", "internal/data", "internal/eval",
 }
 
 // walltimeBanned is the set of time-package functions that read the
