@@ -246,7 +246,7 @@ func fingerprintLine(t *testing.T, name string, s *System, leaf PersistStore) st
 			nManifests++
 			m, err := cas.DecodeManifest(blob)
 			if err != nil {
-				t.Fatalf("%s: %s: %v", key, name, err)
+				t.Fatalf("%s: %s: %v", name, key, err)
 			}
 			tag, ok := writers[m.Writer]
 			if !ok {
